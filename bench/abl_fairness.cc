@@ -24,7 +24,7 @@ void RunRow(const BenchFlags& flags, TablePrinter& table) {
     min_ops = std::min(min_ops, s.ops);
     max_ops = std::max(max_ops, s.ops);
   }
-  table.AddRow({LockOps<Lock>::kName,
+  table.AddRow({TxnOps<Lock>::kName,
                 TablePrinter::Fmt(result.MopsPerSec()),
                 TablePrinter::Fmt(result.JainFairness(), 3),
                 TablePrinter::Fmt(min_ops == 0

@@ -16,6 +16,7 @@
 #ifndef OPTIQL_BENCH_BENCH_COMMON_H_
 #define OPTIQL_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -273,6 +274,19 @@ class JsonBenchWriter {
 
   std::vector<std::string> rows_;
 };
+
+// Repeat-and-median methodology of the interleaved sweeps (ext_adaptive,
+// ext_txn): OPTIQL_BENCH_REPEATS passes (default 3), one median per cell.
+inline int BenchRepeats() {
+  return std::max(1, static_cast<int>(EnvInt("OPTIQL_BENCH_REPEATS", 3)));
+}
+
+inline double Median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
 
 inline void PrintBanner(const char* experiment, const char* paper_ref,
                         const BenchFlags& flags) {

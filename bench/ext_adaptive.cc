@@ -1,10 +1,10 @@
-// Extension: contention-adaptive lock modes + latch-free leaf updates,
-// evaluated against the fixed protocols they generalize (ISSUE 6).
+// Extension: lock contention telemetry + latch-free leaf updates.
 //
-// Section 1 (fig06-style lock sweep): AdaptiveHybridLock must track the
-// best *fixed* protocol at each contention level — centralized CAS locks
-// win when collisions are rare, queue-based locks win when they are not,
-// and the adaptive lock must converge to whichever side the node needs.
+// Section 1 (fig06-style lock sweep): centralized CAS locks (TTS,
+// OptLock), queue-based locks (MCS, OptiQL) and the optimistic latch with
+// a pessimistic reader fallback (Hybrid) side by side, with the restart /
+// fallback / wait counters that explain each row. Centralized locks win
+// when collisions are rare, queue-based locks when they are not.
 //
 // Section 2 (index sweep): B+-trees with latch-free in-place leaf updates
 // (BTree*InPlacePolicy) vs. their locked-update baselines on read-mostly
@@ -20,7 +20,6 @@
 // With -DOPTIQL_LOCK_TELEMETRY=ON the restart/fallback/wait counters from
 // src/sync/lock_telemetry.h are reported alongside throughput (they read 0
 // in default builds). --json writes BENCH_adaptive.json.
-#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -39,8 +38,6 @@ struct TelemetryDelta {
   uint64_t restarts = 0;
   uint64_t fallbacks = 0;
   uint64_t waits = 0;
-  uint64_t escalations = 0;
-  uint64_t deescalations = 0;
   uint64_t inplace_updates = 0;
   uint64_t inplace_fallbacks = 0;
 
@@ -48,8 +45,6 @@ struct TelemetryDelta {
     restarts += o.restarts;
     fallbacks += o.fallbacks;
     waits += o.waits;
-    escalations += o.escalations;
-    deescalations += o.deescalations;
     inplace_updates += o.inplace_updates;
     inplace_fallbacks += o.inplace_fallbacks;
     return *this;
@@ -62,15 +57,9 @@ TelemetryDelta TakeDelta() {
   d.restarts = s[LockTelemetry::kOptimisticRestart];
   d.fallbacks = s[LockTelemetry::kPessimisticFallback];
   d.waits = s[LockTelemetry::kExclusiveWait];
-  d.escalations = s[LockTelemetry::kModeEscalation];
-  d.deescalations = s[LockTelemetry::kModeDeescalation];
   d.inplace_updates = s[LockTelemetry::kInPlaceUpdate];
   d.inplace_fallbacks = s[LockTelemetry::kInPlaceFallback];
   return d;
-}
-
-int Repeats() {
-  return std::max<int>(1, static_cast<int>(EnvInt("OPTIQL_BENCH_REPEATS", 3)));
 }
 
 // One (row, thread-count) cell accumulated across the interleaved passes.
@@ -79,13 +68,6 @@ struct PointStat {
   std::vector<double> restarts_per_kop;  // Index section only.
   TelemetryDelta telemetry;             // Summed over passes.
 };
-
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
 
 // Keyed by (row name, threads); rows print in first-seen order.
 using PointMap = std::map<std::pair<std::string, int>, PointStat>;
@@ -104,7 +86,7 @@ void LockPass(const BenchFlags& flags, const ContentionLevel& level,
     config.duration_ms = flags.duration_ms;
     LockTelemetry::Reset();
     const RunResult result = RunLockMicroBench<Lock>(config);
-    PointStat& p = points[{LockOps<Lock>::kName, threads}];
+    PointStat& p = points[{TxnOps<Lock>::kName, threads}];
     p.mops.push_back(result.MopsPerSec());
     p.telemetry += TakeDelta();
   }
@@ -112,7 +94,7 @@ void LockPass(const BenchFlags& flags, const ContentionLevel& level,
 
 void LockLevel(const BenchFlags& flags, const ContentionLevel& level,
                int read_pct, JsonBenchWriter& json) {
-  const int repeats = Repeats();
+  const int repeats = BenchRepeats();
   std::printf(
       "-- Locks, contention: %s (%zu lock(s)%s), %d%% reads, "
       "median of %d --\n",
@@ -120,15 +102,14 @@ void LockLevel(const BenchFlags& flags, const ContentionLevel& level,
       level.num_locks == 0 ? " per thread" : "", read_pct, repeats);
 
   PointMap points;
-  const std::vector<std::string> order = {"TTS",    "OptLock", "MCS",
-                                          "OptiQL", "Hybrid",  "Hybrid-Adaptive"};
+  const std::vector<std::string> order = {"TTS", "OptLock", "MCS", "OptiQL",
+                                          "Hybrid"};
   for (int rep = 0; rep < repeats; ++rep) {
     LockPass<TtsLock>(flags, level, read_pct, points);
     LockPass<OptLock>(flags, level, read_pct, points);
     LockPass<McsLock>(flags, level, read_pct, points);
     LockPass<OptiQL>(flags, level, read_pct, points);
     LockPass<HybridLock>(flags, level, read_pct, points);
-    LockPass<AdaptiveHybridLock>(flags, level, read_pct, points);
   }
 
   std::vector<std::string> header = {"lock \\ threads (Mops/s)"};
@@ -152,8 +133,6 @@ void LockLevel(const BenchFlags& flags, const ContentionLevel& level,
           {"telemetry_restarts", std::to_string(t.restarts)},
           {"telemetry_fallbacks", std::to_string(t.fallbacks)},
           {"telemetry_waits", std::to_string(t.waits)},
-          {"telemetry_escalations", std::to_string(t.escalations)},
-          {"telemetry_deescalations", std::to_string(t.deescalations)},
       });
     }
     table.AddRow(std::move(row));
@@ -190,7 +169,7 @@ void IndexPass(Tree& tree, const char* name, const BenchFlags& flags,
 
 void IndexMix(const BenchFlags& flags, int lookup_pct, int update_pct,
               JsonBenchWriter& json) {
-  const int repeats = Repeats();
+  const int repeats = BenchRepeats();
   std::printf(
       "-- B+-tree, %d%% lookup / %d%% update, self-similar 0.2, "
       "median of %d --\n",
@@ -266,9 +245,9 @@ void IndexMix(const BenchFlags& flags, int lookup_pct, int update_pct,
 int main(int argc, char** argv) {
   using namespace optiql;
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
-  PrintBanner("Extension: adaptive lock modes + latch-free leaf updates",
-              "extends paper Fig. 6 / Fig. 9 with per-node adaptation "
-              "(ISSUE 6; telemetry columns need -DOPTIQL_LOCK_TELEMETRY=ON)",
+  PrintBanner("Extension: lock telemetry + latch-free leaf updates",
+              "extends paper Fig. 6 / Fig. 9 with restart/fallback/wait "
+              "counters (telemetry columns need -DOPTIQL_LOCK_TELEMETRY=ON)",
               flags);
   if constexpr (!LockTelemetry::kEnabled) {
     std::printf(
@@ -276,8 +255,8 @@ int main(int argc, char** argv) {
         "will read 0\n\n");
   }
   JsonBenchWriter json;
-  // Fig. 6's extreme/high ends stress the queued mode, `low` the optimistic
-  // fast path; `medium`/`none` add little beyond `low` here.
+  // Fig. 6's extreme/high ends stress the queue-based locks, `low` the
+  // optimistic fast path; `medium`/`none` add little beyond `low` here.
   for (const ContentionLevel& level : kContentionLevels) {
     if (std::string(level.name) == "medium" ||
         std::string(level.name) == "none") {
@@ -285,7 +264,7 @@ int main(int argc, char** argv) {
     }
     LockLevel(flags, level, /*read_pct=*/0, json);
   }
-  // Read-mixed pass: exercises the optimistic-vs-pessimistic reader modes.
+  // Read-mixed pass: optimistic readers vs Hybrid's pessimistic fallback.
   LockLevel(flags, kContentionLevels[1], /*read_pct=*/80, json);
   // Read-mostly skewed mixes: the latch-free in-place update target.
   IndexMix(flags, /*lookup_pct=*/95, /*update_pct=*/5, json);

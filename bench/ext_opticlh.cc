@@ -13,7 +13,7 @@ namespace {
 template <class Lock>
 void RunExclusiveRow(const BenchFlags& flags, const ContentionLevel& level,
                      TablePrinter& table) {
-  std::vector<std::string> row = {LockOps<Lock>::kName};
+  std::vector<std::string> row = {TxnOps<Lock>::kName};
   for (int threads : flags.threads) {
     MicroBenchConfig config;
     config.num_locks = level.num_locks;
@@ -27,7 +27,7 @@ void RunExclusiveRow(const BenchFlags& flags, const ContentionLevel& level,
 
 template <class Lock>
 void RunMixedRow(const BenchFlags& flags, TablePrinter& table) {
-  std::vector<std::string> row = {LockOps<Lock>::kName};
+  std::vector<std::string> row = {TxnOps<Lock>::kName};
   for (int read_pct : {0, 20, 50, 80, 90}) {
     MicroBenchConfig config;
     config.num_locks = 5;  // High contention.

@@ -14,7 +14,6 @@
 // OPTIQL_BENCH_REPEATS (default 3) runs, INTERLEAVED across the rows of a
 // table so machine drift lands on all protocols alike. --json writes
 // BENCH_txn.json.
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -38,17 +37,6 @@ using HashMcsRw = HashTable<HashLockPolicy<McsRwLock>>;
 using BTreeTxnOptLock = BTreeOptLock;  // index_bench_common typedef.
 using BTreeTxnOptiQl =
     BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL, /*kAor=*/false>>;
-
-int Repeats() {
-  return std::max<int>(1, static_cast<int>(EnvInt("OPTIQL_BENCH_REPEATS", 3)));
-}
-
-double Median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
 
 // One (row, thread-count) cell accumulated across the interleaved passes.
 struct PointStat {
@@ -125,7 +113,7 @@ void Preload(Index& index, uint64_t records) {
 // One table: every protocol x lock x host row at a fixed (skew, txn_size).
 void TxnSection(const BenchFlags& flags, const KeyDist& dist, int txn_size,
                 JsonBenchWriter& json) {
-  const int repeats = Repeats();
+  const int repeats = BenchRepeats();
   std::printf("-- txns of %d keys (read all, bump half), %s keys, "
               "median of %d --\n",
               txn_size, dist.Name().c_str(), repeats);

@@ -12,7 +12,7 @@ namespace {
 template <class Lock>
 void RunRows(const BenchFlags& flags, const ContentionLevel& level,
              TablePrinter& table) {
-  std::vector<std::string> row = {LockOps<Lock>::kName};
+  std::vector<std::string> row = {TxnOps<Lock>::kName};
   for (int threads : flags.threads) {
     MicroBenchConfig config;
     config.num_locks = level.num_locks;

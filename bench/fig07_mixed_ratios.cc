@@ -13,7 +13,7 @@ constexpr int kReadPcts[] = {0, 20, 50, 80, 90};
 
 template <class Lock>
 void RunRow(const BenchFlags& flags, size_t num_locks, TablePrinter& table) {
-  std::vector<std::string> row = {LockOps<Lock>::kName};
+  std::vector<std::string> row = {TxnOps<Lock>::kName};
   for (int read_pct : kReadPcts) {
     MicroBenchConfig config;
     config.num_locks = num_locks;

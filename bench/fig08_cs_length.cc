@@ -13,7 +13,7 @@ constexpr int kCsLengths[] = {5, 50, 100, 150, 200};
 
 template <class Lock>
 void RunRow(const BenchFlags& flags, size_t num_locks, TablePrinter& table) {
-  std::vector<std::string> row = {LockOps<Lock>::kName};
+  std::vector<std::string> row = {TxnOps<Lock>::kName};
   for (int cs : kCsLengths) {
     MicroBenchConfig config;
     config.num_locks = num_locks;

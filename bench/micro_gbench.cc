@@ -4,22 +4,20 @@
 // and index point-operation costs.
 #include <benchmark/benchmark.h>
 
-#include "core/optiql.h"
-#include "harness/lock_adapters.h"
 #include "index/art.h"
 #include "index/btree.h"
 #include "qnode/qnode_pool.h"
+#include "sync/txn_ops.h"
 
 namespace optiql {
 namespace {
 
 template <class Lock>
 void BM_UncontendedAcquireRelease(benchmark::State& state) {
+  using Ops = TxnOps<Lock>;
   Lock lock;
-  typename LockOps<Lock>::Ctx ctx;
   for (auto _ : state) {
-    LockOps<Lock>::AcquireEx(lock, ctx);
-    LockOps<Lock>::ReleaseEx(lock, ctx);
+    Ops::UnlockEx(lock, Ops::LockEx(lock, /*slot=*/0));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
@@ -37,11 +35,12 @@ BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, SharedMutexLock);
 
 template <class Lock>
 void BM_OptimisticReadSnapshotValidate(benchmark::State& state) {
+  using Ops = TxnOps<Lock>;
   Lock lock;
   for (auto _ : state) {
     uint64_t v;
-    benchmark::DoNotOptimize(lock.AcquireSh(v));
-    benchmark::DoNotOptimize(lock.ReleaseSh(v));
+    benchmark::DoNotOptimize(Ops::StableVersion(lock, v));
+    benchmark::DoNotOptimize(Ops::ValidateVersion(lock, v));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }

@@ -14,7 +14,7 @@ constexpr int kReadPcts[] = {20, 50, 80, 90};
 
 template <class Lock>
 void RunRow(const BenchFlags& flags, TablePrinter& table) {
-  std::vector<std::string> row = {LockOps<Lock>::kName};
+  std::vector<std::string> row = {TxnOps<Lock>::kName};
   for (int read_pct : kReadPcts) {
     MicroBenchConfig config;
     config.num_locks = 5;  // High contention.

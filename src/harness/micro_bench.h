@@ -5,9 +5,10 @@
 // controlled by the number of locks: 1 (extreme), 5 (high), 30000 (medium),
 // 1M (low), or one lock per thread ("no contention").
 //
-// Reads follow the optimistic protocol of the lock under test and retry
-// until they validate (§7.2); attempts and successes are recorded
-// separately so Table 1's reader success rates can be reproduced.
+// Reads follow the read protocol of the lock under test (ReadCritical
+// below) and retry until they validate (§7.2); attempts and successes are
+// recorded separately so Table 1's reader success rates can be reproduced.
+// Every lock is driven through its TxnOps<Lock> contract.
 #ifndef OPTIQL_HARNESS_MICRO_BENCH_H_
 #define OPTIQL_HARNESS_MICRO_BENCH_H_
 
@@ -18,7 +19,7 @@
 #include "common/platform.h"
 #include "common/random.h"
 #include "harness/bench_runner.h"
-#include "harness/lock_adapters.h"
+#include "sync/txn_ops.h"
 
 namespace optiql {
 
@@ -52,9 +53,41 @@ inline void CriticalSectionWork(int cs_length) {
   }
 }
 
+// Runs `f` under `lock`'s read protection, picked by the TxnOps contract
+// flags, and returns false if an optimistic read failed validation (the
+// caller decides whether to retry):
+//  * both read modes (HybridLock): the lock's own optimistic-then-
+//    pessimistic ReadCriticalHybrid policy, which never fails;
+//  * versioned families: snapshot, run, validate;
+//  * shared-mode families: the blocking shared lock;
+//  * exclusive-only families: the exclusive lock.
+template <class Lock, class F>
+bool ReadCritical(Lock& lock, F&& f) {
+  using Ops = TxnOps<Lock>;
+  if constexpr (Ops::kVersioned && Ops::kSharedMode) {
+    lock.ReadCriticalHybrid(f);
+    return true;
+  } else if constexpr (Ops::kVersioned) {
+    uint64_t v;
+    if (!Ops::StableVersion(lock, v)) return false;
+    f();
+    return Ops::ValidateVersion(lock, v);
+  } else if constexpr (Ops::kSharedMode) {
+    Ops::LockSh(lock, /*slot=*/0);
+    f();
+    Ops::UnlockSh(lock, /*slot=*/0);
+    return true;
+  } else {
+    const typename Ops::ExHandle handle = Ops::LockEx(lock, /*slot=*/0);
+    f();
+    Ops::UnlockEx(lock, handle);
+    return true;
+  }
+}
+
 template <class Lock>
 RunResult RunLockMicroBench(const MicroBenchConfig& config) {
-  using Ops = LockOps<Lock>;
+  using Ops = TxnOps<Lock>;
   struct OPTIQL_CACHELINE_ALIGNED PaddedLock {
     Lock lock;
   };
@@ -72,7 +105,6 @@ RunResult RunLockMicroBench(const MicroBenchConfig& config) {
                                        const std::atomic<bool>& stop,
                                        WorkerStats& stats) {
     Xoshiro256 rng(0x5eedULL * 7919 + static_cast<uint64_t>(tid));
-    typename Ops::Ctx ctx;
     const bool per_thread_lock = config.num_locks == 0;
     while (!stop.load(std::memory_order_acquire)) {
       Lock& lock =
@@ -83,25 +115,23 @@ RunResult RunLockMicroBench(const MicroBenchConfig& config) {
           config.read_pct > 0 &&
           rng.NextBounded(100) < static_cast<uint64_t>(config.read_pct);
       if (is_read) {
-        if constexpr (Ops::kHasSharedMode) {
-          // Retry until the read validates (or the run ends).
-          while (true) {
-            ++stats.reads_attempted;
-            const bool ok = Ops::ReadCritical(
-                lock, ctx, [&] { CriticalSectionWork(config.cs_length); });
-            if (ok) {
-              ++stats.reads_ok;
-              ++stats.ops;
-              break;
-            }
-            ++stats.aborts;
-            if (stop.load(std::memory_order_acquire)) break;
+        // Retry until the read validates (or the run ends).
+        while (true) {
+          ++stats.reads_attempted;
+          const bool ok = ReadCritical(
+              lock, [&] { CriticalSectionWork(config.cs_length); });
+          if (ok) {
+            ++stats.reads_ok;
+            ++stats.ops;
+            break;
           }
+          ++stats.aborts;
+          if (stop.load(std::memory_order_acquire)) break;
         }
       } else {
-        Ops::AcquireEx(lock, ctx);
+        const typename Ops::ExHandle handle = Ops::LockEx(lock, /*slot=*/0);
         CriticalSectionWork(config.cs_length);
-        Ops::ReleaseEx(lock, ctx);
+        Ops::UnlockEx(lock, handle);
         ++stats.ops;
       }
     }

@@ -329,26 +329,20 @@ class HashTable {
     void Unlock(bool installed) {
       if (!owns_) return;
       owns_ = false;
-      if constexpr (Ops::kVersioned) {
-        if constexpr (Ops::kHasNoBump) {
-          if (!installed) {
-            Ops::UnlockExNoBump(bucket_->lock, handle_);
-            return;
-          }
+      if constexpr (Ops::kHasNoBump) {
+        if (!installed) {
+          Ops::UnlockExNoBump(bucket_->lock, handle_);
+          return;
         }
-        (void)installed;
-        Ops::UnlockEx(bucket_->lock, handle_);
-      } else {
-        (void)installed;
-        Ops::UnlockEx(bucket_->lock, slot_);
       }
+      (void)installed;
+      Ops::UnlockEx(bucket_->lock, handle_);
     }
 
    private:
     friend class HashTable;
     Bucket* bucket_ = nullptr;
     Entry* entry_ = nullptr;
-    int slot_ = 0;
     bool owns_ = false;
     typename Ops::ExHandle handle_{};
   };
@@ -365,13 +359,8 @@ class HashTable {
       return BindHeldGuard(bucket, key, guard);
     }
     guard.bucket_ = &bucket;
-    guard.slot_ = slot;
     guard.owns_ = true;
-    if constexpr (Ops::kVersioned) {
-      guard.handle_ = Ops::LockEx(bucket.lock, slot);
-    } else {
-      Ops::LockEx(bucket.lock, slot);
-    }
+    guard.handle_ = Ops::LockEx(bucket.lock, slot);
     return FindLockedEntry(bucket, key, guard);
   }
 
@@ -386,7 +375,6 @@ class HashTable {
       return BindHeldGuard(bucket, key, guard);
     }
     guard.bucket_ = &bucket;
-    guard.slot_ = slot;
     if (!Ops::TryLockEx(bucket.lock, slot, guard.handle_)) {
       return TxnLockStatus::kBusy;
     }
@@ -440,7 +428,6 @@ class HashTable {
   {
     Bucket& bucket = BucketFor(key);
     guard.bucket_ = &bucket;
-    guard.slot_ = slot;
     if (!Ops::TryUpgradeSh(bucket.lock, slot, my_holds, guard.handle_)) {
       return TxnLockStatus::kBusy;
     }
@@ -471,27 +458,16 @@ class HashTable {
   // OptLock spins+CASes, reader-writer locks queue as writers.
   class ExclusiveBucket {
    public:
-    explicit ExclusiveBucket(Bucket& bucket) : bucket_(bucket) {
-      if constexpr (Ops::kVersioned) {
-        handle_ = Ops::LockEx(bucket_.lock, /*slot=*/0);
-      } else {
-        Ops::LockEx(bucket_.lock, /*slot=*/0);
-      }
-    }
-    ~ExclusiveBucket() {
-      if constexpr (Ops::kVersioned) {
-        Ops::UnlockEx(bucket_.lock, handle_);
-      } else {
-        Ops::UnlockEx(bucket_.lock, /*slot=*/0);
-      }
-    }
+    explicit ExclusiveBucket(Bucket& bucket)
+        : bucket_(bucket), handle_(Ops::LockEx(bucket_.lock, /*slot=*/0)) {}
+    ~ExclusiveBucket() { Ops::UnlockEx(bucket_.lock, handle_); }
 
     ExclusiveBucket(const ExclusiveBucket&) = delete;
     ExclusiveBucket& operator=(const ExclusiveBucket&) = delete;
 
    private:
     Bucket& bucket_;
-    typename Ops::ExHandle handle_{};
+    const typename Ops::ExHandle handle_;
   };
 
   // Completes a guard over a bucket this transaction already holds: the

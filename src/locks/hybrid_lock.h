@@ -25,8 +25,6 @@
 #include "common/check.h"
 #include "common/model_atomic.h"
 #include "common/platform.h"
-#include "locks/mcs_lock.h"
-#include "qnode/qnode_pool.h"
 #include "sync/lock_telemetry.h"
 
 namespace optiql {
@@ -195,305 +193,6 @@ class HybridLock {
 };
 
 static_assert(sizeof(HybridLock) == 8, "Hybrid lock must be 8 bytes");
-
-// Contention-adaptive hybrid lock (ISSUE 6 tentpole (a), after the TXSQL
-// observation that hot-row-specific treatment beats any global policy).
-//
-// HybridLock's fixed policy — always try kOptimisticAttempts optimistic
-// reads, then go pessimistic — pays the full restart tax on every read of a
-// hot node and the fallback tax on every read of a cold one that happened
-// to collide once. AdaptiveHybridLock replaces that per-*read* policy with
-// a per-*node* mode driven by observed behavior:
-//
-//           restarts/waits (score rises)
-//   optimistic ──≥16──► pessimistic-read ──≥48──► queued writers
-//   optimistic ◄──≤8── pessimistic-read ◄──≤24── queued writers
-//           clean operations (score drains)
-//
-// A saturating contention score (0..kScoreCap) lives in one 32-bit word
-// next to the mode. Failed validations add kRestartWeight, contended
-// exclusive acquisitions add kWaitWeight, clean operations subtract 1
-// (readers sampled 1-in-8 so the optimistic fast path stays write-free).
-// The promote/demote thresholds are deliberately offset (16/8 and 48/24):
-// a node sitting at the boundary does not flap, it converts once and
-// converts back only after the score drains well below the promote point.
-//
-// Modes:
-//  * kOptimistic       — reads snapshot+validate; writers CAS the word.
-//  * kPessimisticRead  — reads take the shared count (no restart storms);
-//                        writers still CAS. Entered when readers keep
-//                        failing validation.
-//  * kQueued           — additionally, writers funnel through an MCS gate
-//                        (FIFO, local spinning) so the word sees one writer
-//                        CAS per handover instead of a thundering herd.
-//                        Entered when writers keep colliding.
-//
-// The mode word is advisory: every interleaving of modes is safe because
-// the underlying HybridLock word remains the single source of exclusion
-// (the gate only orders writers that chose to use it). Wrong-mode
-// operation costs throughput, never correctness.
-class AdaptiveHybridLock {
- public:
-  enum class Mode : uint32_t {
-    kOptimistic = 0,
-    kPessimisticRead = 1,
-    kQueued = 2,
-  };
-
-  // Score weights and hysteresis thresholds. Promote points sit well above
-  // demote points so a borderline node converts once per contention episode.
-  static constexpr uint32_t kScoreCap = 96;
-  static constexpr uint32_t kRestartWeight = 2;
-  static constexpr uint32_t kWaitWeight = 4;
-  static constexpr uint32_t kPromotePessimistic = 16;
-  static constexpr uint32_t kPromoteQueued = 48;
-  static constexpr uint32_t kDemoteQueued = 24;
-  static constexpr uint32_t kDemoteOptimistic = 8;
-  // Optimistic attempts per read while in kOptimistic mode (matches the
-  // fixed HybridLock policy so the cold-node fast path is identical).
-  static constexpr int kMaxOptimisticAttempts = HybridLock::kOptimisticAttempts;
-  // Clean reads credit the score 1-in-kCreditSampleMask+1 so the optimistic
-  // fast path writes nothing on most reads.
-  static constexpr uint32_t kCreditSampleMask = 7;
-
-  AdaptiveHybridLock() = default;
-  AdaptiveHybridLock(const AdaptiveHybridLock&) = delete;
-  AdaptiveHybridLock& operator=(const AdaptiveHybridLock&) = delete;
-
-  // --- Adaptive read ---
-  //
-  // Runs `f` under the mode the node has converged to. Returns true if the
-  // read was served pessimistically (diagnostics, mirrors
-  // HybridLock::ReadCriticalHybrid).
-  template <class F>
-  bool ReadCritical(F&& f) {
-    if (ModeRelaxed() == Mode::kOptimistic) {
-      for (int attempt = 0; attempt < kMaxOptimisticAttempts; ++attempt) {
-        uint64_t v;
-        if (core_.AcquireSh(v)) {
-          f();
-          if (core_.ReleaseSh(v)) {
-            MaybeCredit();
-            return false;
-          }
-        }
-        Penalize(kRestartWeight);
-        if (ModeRelaxed() != Mode::kOptimistic) break;
-      }
-    }
-    return ReadPessimistic(f);
-  }
-
-  // --- Exclusive writer interface ---
-  //
-  // Returns true when the acquisition went through the MCS gate; the caller
-  // must pass that flag back to ReleaseEx. `qnode` must stay owned by this
-  // thread until the matching ReleaseEx returns (it is only touched when
-  // the gate is used).
-  bool AcquireEx(QNode* qnode) {
-    if (ModeRelaxed() != Mode::kQueued) {
-      if (core_.TryAcquireEx()) {
-        MaybeCredit();
-        return false;
-      }
-      return AcquireExSlow(qnode, /*collided=*/true);
-    }
-    return AcquireExSlow(qnode, /*collided=*/false);
-  }
-
-  void ReleaseEx(QNode* qnode, bool via_gate) {
-    if (via_gate) {
-      // An empty gate queue at release time means writer pressure drained:
-      // credit the score so the node can work its way back down.
-      const bool drained =
-          qnode->next.load(std::memory_order_acquire) == nullptr;
-      core_.ReleaseEx();
-      gate_.ReleaseEx(qnode);
-      if (drained) Credit();
-      return;
-    }
-    core_.ReleaseEx();
-  }
-
-  // Non-blocking probe acquisition (word only, never the gate). A failure
-  // is a writer collision and feeds the score like a contended AcquireEx.
-  bool TryAcquireEx() {
-    if (core_.TryAcquireEx()) return true;
-    LockTelemetry::Count(LockTelemetry::kExclusiveWait);
-    Penalize(kWaitWeight);
-    return false;
-  }
-
-  // Pairs with a successful TryAcquireEx (gate never entered).
-  void ReleaseEx() { core_.ReleaseEx(); }
-
-  // --- Introspection ---
-
-  Mode CurrentMode() const {
-    return static_cast<Mode>(ModeOf(state_.load(std::memory_order_acquire)));
-  }
-  uint32_t ContentionScore() const {
-    return ScoreOf(state_.load(std::memory_order_acquire));
-  }
-  bool IsLockedEx() const { return core_.IsLockedEx(); }
-  uint32_t SharedCount() const { return core_.SharedCount(); }
-  uint64_t LoadWord() const { return core_.LoadWord(); }
-
- private:
-  static constexpr uint32_t kScoreMask = 0xffu;
-  static constexpr int kModeShift = 8;
-
-  static uint32_t ScoreOf(uint32_t s) { return s & kScoreMask; }
-  static uint32_t ModeOf(uint32_t s) { return s >> kModeShift; }
-  static uint32_t Pack(uint32_t mode, uint32_t score) {
-    return (mode << kModeShift) | score;
-  }
-
-  // Hot-path mode probe. Relaxed is enough: the mode is a routing
-  // heuristic, and every synchronizing edge comes from the core word (or
-  // the gate) — a stale mode read only picks a slightly suboptimal path.
-  Mode ModeRelaxed() const {
-    return static_cast<Mode>(ModeOf(state_.load(std::memory_order_relaxed)));
-  }
-
-  // Pessimistic shared read: also the read path in kQueued mode (only
-  // writers queue; readers on the shared count already spin locally enough
-  // and must not wait behind unrelated writers). Out of line so the
-  // optimistic read loop above stays small enough to inline into callers.
-  template <class F>
-  [[gnu::noinline]] bool ReadPessimistic(F& f) {
-    LockTelemetry::Count(LockTelemetry::kPessimisticFallback);
-    core_.AcquireShPessimistic();
-    f();
-    core_.ReleaseShPessimistic();
-    MaybeCredit();
-    return true;
-  }
-
-  // Contended / queued-mode writer acquisition. `collided` records that the
-  // caller's fast probe already failed, which must penalize exactly like
-  // the first failed probe of this loop would have.
-  [[gnu::noinline]] bool AcquireExSlow(QNode* qnode, bool collided) {
-    NoBackoff backoff;
-    bool waited = false;
-    if (collided) {
-      waited = true;
-      LockTelemetry::Count(LockTelemetry::kExclusiveWait);
-      Penalize(kWaitWeight);
-    }
-    while (true) {
-      if (ModeRelaxed() == Mode::kQueued) {
-        gate_.AcquireEx(qnode);
-        // The gate serializes writers FIFO; pessimistic readers still hold
-        // the word's shared count, so spin for the word after the grant.
-        while (!core_.TryAcquireEx()) backoff.Pause();
-        return true;
-      }
-      if (core_.TryAcquireEx()) {
-        if (!waited) MaybeCredit();
-        return false;
-      }
-      if (!waited) {
-        // Penalize once per contended acquisition, not per spin.
-        waited = true;
-        LockTelemetry::Count(LockTelemetry::kExclusiveWait);
-        Penalize(kWaitWeight);
-      }
-      backoff.Pause();
-    }
-  }
-
-  // Raises the score and escalates the mode past any promote threshold the
-  // new score crosses. Modes only rise here; only Credit() lowers them.
-  [[gnu::cold]] void Penalize(uint32_t weight) {
-    uint32_t s = state_.load(std::memory_order_relaxed);
-    while (true) {
-      const uint32_t score = ScoreOf(s);
-      const uint32_t mode = ModeOf(s);
-      const uint32_t nscore =
-          score + weight > kScoreCap ? kScoreCap : score + weight;
-      uint32_t nmode = mode;
-      if (nscore >= kPromoteQueued) {
-        nmode = static_cast<uint32_t>(Mode::kQueued);
-      } else if (nscore >= kPromotePessimistic &&
-                 mode == static_cast<uint32_t>(Mode::kOptimistic)) {
-        nmode = static_cast<uint32_t>(Mode::kPessimisticRead);
-      }
-      if (nmode < mode) nmode = mode;
-      if (state_.compare_exchange_weak(s, Pack(nmode, nscore),
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-        if (nmode != mode) {
-          LockTelemetry::Count(LockTelemetry::kModeEscalation);
-        }
-        return;
-      }
-    }
-  }
-
-  // Drains one unit of score and demotes one mode level when the score
-  // falls to the (lower) demote threshold. The score==0 fast path is a
-  // plain load so converged-cold nodes see no shared-memory write.
-  [[gnu::noinline]] void Credit() {
-    uint32_t s = state_.load(std::memory_order_relaxed);
-    while (true) {
-      const uint32_t score = ScoreOf(s);
-      const uint32_t mode = ModeOf(s);
-      if (score == 0 && mode == static_cast<uint32_t>(Mode::kOptimistic)) {
-        return;
-      }
-      const uint32_t nscore = score > 0 ? score - 1 : 0;
-      uint32_t nmode = mode;
-      if (mode == static_cast<uint32_t>(Mode::kQueued) &&
-          nscore <= kDemoteQueued) {
-        nmode = static_cast<uint32_t>(Mode::kPessimisticRead);
-      } else if (mode == static_cast<uint32_t>(Mode::kPessimisticRead) &&
-                 nscore <= kDemoteOptimistic) {
-        nmode = static_cast<uint32_t>(Mode::kOptimistic);
-      }
-      if (state_.compare_exchange_weak(s, Pack(nmode, nscore),
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-        if (nmode != mode) {
-          LockTelemetry::Count(LockTelemetry::kModeDeescalation);
-        }
-        return;
-      }
-    }
-  }
-
-  // Sampled credit: 1 in (kCreditSampleMask+1) clean operations per thread
-  // touch the score word, so the optimistic read fast path stays read-only
-  // in the common case.
-  void MaybeCredit() {
-#if defined(OPTIQL_MODEL) && OPTIQL_MODEL
-    // The thread_local tick persists across model executions, making the
-    // credit sample depend on exploration history. Credit every time: the
-    // sampling is a throughput optimization, not protocol.
-    Credit();
-#else
-    thread_local uint32_t tick = 0;
-    if ((++tick & kCreditSampleMask) != 0) return;
-    Credit();
-#endif
-  }
-
- public:
-#if defined(OPTIQL_MODEL) && OPTIQL_MODEL
-  // Model-only: preset the advisory mode/score so scenarios can start in
-  // kQueued directly. Organic promotion needs ~a dozen collisions — far
-  // deeper than an exhaustive 2–3-thread program can reach.
-  void ModelSetState(Mode mode, uint32_t score) {
-    state_.store(Pack(static_cast<uint32_t>(mode), score),
-                 std::memory_order_relaxed);
-  }
-#endif
-
- private:
-  HybridLock core_;                  // The word: single source of exclusion.
-  McsLock gate_;                     // FIFO writer gate (kQueued mode only).
-  ModelAtomic<uint32_t> state_{0};   // [8..9] mode, [0..7] saturating score.
-};
 
 }  // namespace optiql
 

@@ -1,7 +1,6 @@
 // Lock telemetry: process-wide counters for the events that drive (and
 // evaluate) contention adaptation — optimistic restarts, pessimistic
-// fallbacks, exclusive-acquire waits, per-node mode transitions, and the
-// latch-free leaf update paths.
+// fallbacks, exclusive-acquire waits, and the latch-free leaf update paths.
 //
 // Design constraints (ISSUE 6 tentpole):
 //  * Compiled out by default. Counting sites call LockTelemetry::Count(...)
@@ -47,9 +46,6 @@ class LockTelemetry {
     // An exclusive acquisition found the lock held and had to wait (counted
     // once per contended acquisition, not per spin iteration).
     kExclusiveWait,
-    // AdaptiveHybridLock per-node mode transitions.
-    kModeEscalation,
-    kModeDeescalation,
     // B+-tree latch-free leaf value updates: published in place, and
     // attempts that bounced to the locked path.
     kInPlaceUpdate,
@@ -124,8 +120,6 @@ class LockTelemetry {
       case kOptimisticRestart: return "optimistic_restarts";
       case kPessimisticFallback: return "pessimistic_fallbacks";
       case kExclusiveWait: return "exclusive_waits";
-      case kModeEscalation: return "mode_escalations";
-      case kModeDeescalation: return "mode_deescalations";
       case kInPlaceUpdate: return "inplace_updates";
       case kInPlaceFallback: return "inplace_fallbacks";
       default: return "unknown";

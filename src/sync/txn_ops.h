@@ -1,18 +1,19 @@
 // TxnOps<Lock> — the one uniform version/lock contract over every lock
-// family the indexes use. Before this header, each consumer of a lock's
-// version word or exclusive mode spoke a private dialect: the B+-tree
-// policies called AcquireSh/ReleaseSh member pairs directly, the coupling
-// trees went through a PessimisticOps facade, Guarded<> duck-typed the
-// qnode-vs-plain AcquireEx split, and a transaction layer could not be
-// written once at all. TxnOps gives every family the same spellings:
+// family in the repository. The indexes, the transaction layer, Guarded<>,
+// the lock microbenchmarks and the typed lock suites all reach a lock
+// through it, so each family's capabilities are stated in exactly one
+// place. Every family has the same spellings:
 //
-//   Optimistic read (versioned families: OptLock, OptiQL, OptiCLH)
+//   kName                        display name (the paper's legend)
+//
+//   Optimistic read (versioned families: OptLock, OptiQL, OptiCLH, Hybrid)
 //     StableVersion(lock, v)     snapshot the word; false = locked/retired
 //     ValidateVersion(lock, v)   seqlock validation: whole word unchanged
 //     SnapshotVersion(word)      the version component of a snapshot
 //     IsObsolete(lock)           retired-object probe (where supported)
 //
-//   Exclusive mode (every family)
+//   Exclusive mode (LockEx/UnlockEx: every family; the rest where the
+//   family supports it)
 //     LockEx(lock, slot) -> ExHandle      blocking acquire
 //     TryLockEx(lock, slot, h) -> bool    no-wait acquire (2PL, OCC commit)
 //     TryUpgrade(lock, v, slot, h)        snapshot -> exclusive promotion
@@ -23,10 +24,10 @@
 //                                         this lock must carry while WE
 //                                         hold it (OCC self-held reads)
 //
-//   Shared mode (pessimistic reader-writer families: MCS-RW, shared_mutex)
+//   Shared mode (pessimistic reader modes: MCS-RW, shared_mutex, Hybrid)
 //     LockSh/UnlockSh(lock, slot)         blocking, coupling protocols
-//     TryLockSh(lock) -> bool             no-wait, queue-less (txn reads)
-//     UnlockShNoQueue(lock)               pairs with TryLockSh
+//     TryLockSh(lock) -> bool             no-wait, queue-less (txn reads;
+//     UnlockShNoQueue(lock)               MCS-RW and shared_mutex only)
 //     TryUpgradeSh(lock, slot, n, h)      atomically convert the caller's n
 //                                         queue-less shared holds into an
 //                                         exclusive hold (kHasShUpgrade)
@@ -36,8 +37,10 @@
 // by depth and uses slot 2 for rebalance siblings, the txn layer owns
 // slots ThreadQNodes::kTxnSlotBase and up. ExHandle is a trivially
 // copyable token: empty for centralized locks, the queue node for MCS
-// descendants (OptiCLH's handle is the node AcquireEx *returns*, which is
-// not the one passed in — CLH queue nodes migrate).
+// descendants (the CLH families' handle is the node AcquireEx *returns*,
+// which is not the one passed in — CLH queue nodes migrate). The
+// reader-writer families also keep a slot-based UnlockEx(lock, slot) for
+// the coupling trees, which release by depth slot rather than by handle.
 //
 // Capability dispatch is by `if constexpr` on the flags:
 //   kVersioned     optimistic read surface exists; the word doubles as the
@@ -49,23 +52,34 @@
 //   kHasObsolete   UnlockExObsolete / IsObsolete supported (a lock without
 //                  it cannot guard nodes that get unlinked, e.g. B+-tree
 //                  leaves under delete-time merging)
+// A family with neither read surface (TTS, Ticket, MCS, CLH) serves reads
+// by taking the exclusive lock.
 //
-// TSA annotations appear ONLY on the MCS-RW / shared_mutex specializations
-// (annotated capability types); the optimistic families' read side is not
-// expressible in TSA and is covered by scripts/lint_optimistic.py and the
-// checked-invariant build instead (see common/annotations.h).
+// TSA annotations appear on the specializations of annotated capability
+// types (TTS, Ticket, MCS, CLH, MCS-RW, shared_mutex) and forward the
+// capability through the facade: TSA sees `TxnOps<L>::LockEx(lock, slot)`
+// acquire `lock` itself, so callers are checked as if they had called the
+// lock. The optimistic families' read side is not expressible in TSA and
+// is covered by scripts/lint_optimistic.py and the checked-invariant build
+// instead (see common/annotations.h).
 #ifndef OPTIQL_SYNC_TXN_OPS_H_
 #define OPTIQL_SYNC_TXN_OPS_H_
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 #include "common/annotations.h"
 #include "core/opticlh.h"
 #include "core/optiql.h"
+#include "locks/clh_lock.h"
+#include "locks/hybrid_lock.h"
+#include "locks/mcs_lock.h"
 #include "locks/mcs_rw_lock.h"
 #include "locks/optlock.h"
 #include "locks/shared_mutex_lock.h"
+#include "locks/ticket_lock.h"
+#include "locks/tts_lock.h"
 #include "qnode/qnode_pool.h"
 
 namespace optiql {
@@ -102,6 +116,8 @@ template <class BackoffPolicy>
 struct TxnOps<BasicOptLock<BackoffPolicy>> {
   using Lock = BasicOptLock<BackoffPolicy>;
   using ExHandle = NoExHandle;
+  static constexpr const char* kName =
+      std::is_same_v<BackoffPolicy, NoBackoff> ? "OptLock" : "OptLock-Backoff";
   static constexpr bool kVersioned = true;
   static constexpr bool kSharedMode = false;
   static constexpr bool kHasShUpgrade = false;
@@ -150,6 +166,7 @@ template <bool kEnableOpRead>
 struct TxnOps<BasicOptiQL<kEnableOpRead>> {
   using Lock = BasicOptiQL<kEnableOpRead>;
   using ExHandle = QNodeExHandle;
+  static constexpr const char* kName = kEnableOpRead ? "OptiQL" : "OptiQL-NOR";
   static constexpr bool kVersioned = true;
   static constexpr bool kSharedMode = false;
   static constexpr bool kHasShUpgrade = false;
@@ -211,6 +228,7 @@ template <>
 struct TxnOps<OptiCLH> {
   using Lock = OptiCLH;
   using ExHandle = QNodeExHandle;
+  static constexpr const char* kName = "OptiCLH";
   static constexpr bool kVersioned = true;
   static constexpr bool kSharedMode = false;
   static constexpr bool kHasShUpgrade = false;
@@ -254,15 +272,127 @@ struct TxnOps<OptiCLH> {
   }
 };
 
+// --- HybridLock: centralized word with both an optimistic and a ----------
+// pessimistic shared read mode (Böttcher et al.). Reads that combine the two
+// go through the lock's own ReadCriticalHybrid policy.
+
+template <>
+struct TxnOps<HybridLock> {
+  using Lock = HybridLock;
+  using ExHandle = NoExHandle;
+  static constexpr const char* kName = "Hybrid";
+  static constexpr bool kVersioned = true;
+  static constexpr bool kSharedMode = true;
+  static constexpr bool kHasShUpgrade = false;
+  static constexpr bool kHasNoBump = false;
+  static constexpr bool kHasObsolete = false;
+
+  static bool StableVersion(const Lock& lock, uint64_t& v) {
+    return lock.AcquireSh(v);
+  }
+  static bool ValidateVersion(const Lock& lock, uint64_t v) {
+    return lock.ReleaseSh(v);
+  }
+  static uint64_t SnapshotVersion(uint64_t word) {
+    return word & Lock::kVersionMask;
+  }
+
+  static void LockSh(Lock& lock, int /*slot*/) {
+    lock.AcquireShPessimistic();
+  }
+  static void UnlockSh(Lock& lock, int /*slot*/) {
+    lock.ReleaseShPessimistic();
+  }
+  static ExHandle LockEx(Lock& lock, int /*slot*/) {
+    lock.AcquireEx();
+    return {};
+  }
+  static void UnlockEx(Lock& lock, ExHandle) { lock.ReleaseEx(); }
+};
+
+// --- Exclusive-only centralized locks: TTS, TTS-backoff, Ticket ------------
+
+template <class L>
+struct CentralizedExclusiveTxnOps {
+  using Lock = L;
+  using ExHandle = NoExHandle;
+  static constexpr bool kVersioned = false;
+  static constexpr bool kSharedMode = false;
+  static constexpr bool kHasShUpgrade = false;
+  static constexpr bool kHasNoBump = false;
+  static constexpr bool kHasObsolete = false;
+
+  static ExHandle LockEx(Lock& lock, int /*slot*/) OPTIQL_ACQUIRE(lock) {
+    lock.AcquireEx();
+    return {};
+  }
+  static void UnlockEx(Lock& lock, ExHandle) OPTIQL_RELEASE(lock) {
+    lock.ReleaseEx();
+  }
+};
+
+template <class BackoffPolicy>
+struct TxnOps<BasicTtsLock<BackoffPolicy>>
+    : CentralizedExclusiveTxnOps<BasicTtsLock<BackoffPolicy>> {
+  static constexpr const char* kName =
+      std::is_same_v<BackoffPolicy, NoBackoff> ? "TTS" : "TTS-Backoff";
+};
+
+template <>
+struct TxnOps<TicketLock> : CentralizedExclusiveTxnOps<TicketLock> {
+  static constexpr const char* kName = "Ticket";
+};
+
+// --- Exclusive-only queue locks: MCS (thread-owned node), CLH (migrating
+// node, returned by AcquireEx) ----------------------------------------------
+
+template <>
+struct TxnOps<McsLock> {
+  using Lock = McsLock;
+  using ExHandle = QNodeExHandle;
+  static constexpr const char* kName = "MCS";
+  static constexpr bool kVersioned = false;
+  static constexpr bool kSharedMode = false;
+  static constexpr bool kHasShUpgrade = false;
+  static constexpr bool kHasNoBump = false;
+  static constexpr bool kHasObsolete = false;
+
+  static ExHandle LockEx(Lock& lock, int slot) OPTIQL_ACQUIRE(lock) {
+    QNode* node = ThreadQNodes::Get(slot);
+    lock.AcquireEx(node);
+    return {node};
+  }
+  static void UnlockEx(Lock& lock, ExHandle handle) OPTIQL_RELEASE(lock) {
+    lock.ReleaseEx(handle.node);
+  }
+};
+
+template <>
+struct TxnOps<ClhLock> {
+  using Lock = ClhLock;
+  using ExHandle = QNodeExHandle;
+  static constexpr const char* kName = "CLH";
+  static constexpr bool kVersioned = false;
+  static constexpr bool kSharedMode = false;
+  static constexpr bool kHasShUpgrade = false;
+  static constexpr bool kHasNoBump = false;
+  static constexpr bool kHasObsolete = false;
+
+  static ExHandle LockEx(Lock& lock, int /*slot*/) OPTIQL_ACQUIRE(lock) {
+    return {lock.AcquireEx()};
+  }
+  static void UnlockEx(Lock& lock, ExHandle handle) OPTIQL_RELEASE(lock) {
+    lock.ReleaseEx(handle.node);
+  }
+};
+
 // --- MCS-RW: pessimistic reader-writer, no version word --------------------
-// The annotations forward the capability through the facade, exactly as the
-// old PessimisticOps did: TSA sees `TxnOps<L>::LockSh(lock, slot)` acquire
-// `lock` itself, so callers are checked as if they had called the lock.
 
 template <>
 struct TxnOps<McsRwLock> {
   using Lock = McsRwLock;
   using ExHandle = QNodeExHandle;
+  static constexpr const char* kName = "MCS-RW";
   static constexpr bool kVersioned = false;
   static constexpr bool kSharedMode = true;
   static constexpr bool kHasShUpgrade = true;
@@ -276,8 +406,10 @@ struct TxnOps<McsRwLock> {
   static void UnlockSh(Lock& lock, int slot) OPTIQL_RELEASE_SHARED(lock) {
     lock.ReleaseSh(ThreadQNodes::Get(slot));
   }
-  static void LockEx(Lock& lock, int slot) OPTIQL_ACQUIRE(lock) {
-    lock.AcquireEx(ThreadQNodes::Get(slot));
+  static ExHandle LockEx(Lock& lock, int slot) OPTIQL_ACQUIRE(lock) {
+    QNode* node = ThreadQNodes::Get(slot);
+    lock.AcquireEx(node);
+    return {node};
   }
   static void UnlockEx(Lock& lock, int slot) OPTIQL_RELEASE(lock) {
     lock.ReleaseEx(ThreadQNodes::Get(slot));
@@ -321,6 +453,7 @@ template <>
 struct TxnOps<SharedMutexLock> {
   using Lock = SharedMutexLock;
   using ExHandle = NoExHandle;
+  static constexpr const char* kName = "pthread";
   static constexpr bool kVersioned = false;
   static constexpr bool kSharedMode = true;
   // std::shared_mutex has no atomic upgrade, so this family cannot host
@@ -335,8 +468,9 @@ struct TxnOps<SharedMutexLock> {
   static void UnlockSh(Lock& lock, int /*slot*/) OPTIQL_RELEASE_SHARED(lock) {
     lock.ReleaseSh();
   }
-  static void LockEx(Lock& lock, int /*slot*/) OPTIQL_ACQUIRE(lock) {
+  static ExHandle LockEx(Lock& lock, int /*slot*/) OPTIQL_ACQUIRE(lock) {
     lock.AcquireEx();
+    return {};
   }
   static void UnlockEx(Lock& lock, int /*slot*/) OPTIQL_RELEASE(lock) {
     lock.ReleaseEx();

@@ -202,6 +202,20 @@ TEST(MicroBenchTest, PerThreadLockMeansNoContention) {
   EXPECT_GT(result.JainFairness(), 0.5);
 }
 
+// A read drawn for a lock with no read mode must still run (under the
+// exclusive lock) and count, or a read-mixed row reports only its writes.
+TEST(LockMicroBenchTest, ExclusiveOnlyLockServesReads) {
+  MicroBenchConfig config;
+  config.num_locks = 4;
+  config.read_pct = 100;
+  config.threads = 2;
+  config.duration_ms = 50;
+  const RunResult result = RunLockMicroBench<TtsLock>(config);
+  EXPECT_GT(result.TotalReadsOk(), 0u);
+  EXPECT_GT(result.TotalOps(), 0u);
+  EXPECT_EQ(result.TotalReadsOk(), result.TotalReadsAttempted());
+}
+
 TEST(IndexBenchTest, PreloadAndMixedRunSmoke) {
   BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL>> tree;
   IndexWorkload workload;

@@ -1,13 +1,15 @@
 // Typed correctness suite for exclusive (writer) mode, instantiated for
-// every lock in the repository: mutual exclusion under contention,
-// sequential reacquisition, and multi-lock independence.
+// every lock in the repository and driven through its TxnOps contract:
+// mutual exclusion under contention, sequential reacquisition, and
+// multi-lock independence.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <concepts>
 #include <thread>
 #include <vector>
 
-#include "harness/lock_adapters.h"
+#include "sync/txn_ops.h"
 
 namespace optiql {
 namespace {
@@ -15,24 +17,37 @@ namespace {
 template <class Lock>
 class ExclusiveLockTest : public ::testing::Test {};
 
-using AllLockTypes =
-    ::testing::Types<TtsLock, TtsBackoffLock, TicketLock, OptLock,
-                     OptBackoffLock, McsLock, McsRwLock, SharedMutexLock,
-                     OptiQL, OptiQLNor, ClhLock, OptiCLH, HybridLock>;
+template <class Lock>
+concept HasContractName = requires {
+  { TxnOps<Lock>::kName } -> std::convertible_to<const char*>;
+};
+
+template <class... Locks>
+struct LockList {
+  static constexpr bool kAllInContract = (HasContractName<Locks> && ...);
+  using Types = ::testing::Types<Locks...>;
+};
+
+using AllLocks =
+    LockList<TtsLock, TtsBackoffLock, TicketLock, OptLock, OptBackoffLock,
+             McsLock, McsRwLock, SharedMutexLock, OptiQL, OptiQLNor, ClhLock,
+             OptiCLH, HybridLock>;
+static_assert(AllLocks::kAllInContract,
+              "every lock family needs a TxnOps specialization with kName");
+using AllLockTypes = AllLocks::Types;
 TYPED_TEST_SUITE(ExclusiveLockTest, AllLockTypes);
 
 TYPED_TEST(ExclusiveLockTest, SequentialAcquireRelease) {
-  using Ops = LockOps<TypeParam>;
+  using Ops = TxnOps<TypeParam>;
   TypeParam lock;
-  typename Ops::Ctx ctx;
   for (int i = 0; i < 100; ++i) {
-    Ops::AcquireEx(lock, ctx);
-    Ops::ReleaseEx(lock, ctx);
+    const auto handle = Ops::LockEx(lock, /*slot=*/0);
+    Ops::UnlockEx(lock, handle);
   }
 }
 
 TYPED_TEST(ExclusiveLockTest, MutualExclusionCounter) {
-  using Ops = LockOps<TypeParam>;
+  using Ops = TxnOps<TypeParam>;
   TypeParam lock;
   // Two mirrored plain counters: torn/racy increments would desynchronize
   // them or lose updates.
@@ -44,15 +59,14 @@ TYPED_TEST(ExclusiveLockTest, MutualExclusionCounter) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      typename Ops::Ctx ctx;
       for (int i = 0; i < kIncrements; ++i) {
-        Ops::AcquireEx(lock, ctx);
+        const auto handle = Ops::LockEx(lock, /*slot=*/0);
         const int64_t a = counter_a;
         const int64_t b = counter_b;
         ASSERT_EQ(a, b);
         counter_a = a + 1;
         counter_b = b + 1;
-        Ops::ReleaseEx(lock, ctx);
+        Ops::UnlockEx(lock, handle);
       }
     });
   }
@@ -62,7 +76,7 @@ TYPED_TEST(ExclusiveLockTest, MutualExclusionCounter) {
 }
 
 TYPED_TEST(ExclusiveLockTest, IndependentLocksDoNotInterfere) {
-  using Ops = LockOps<TypeParam>;
+  using Ops = TxnOps<TypeParam>;
   constexpr int kLocks = 8;
   struct Protected {
     TypeParam lock;
@@ -75,12 +89,11 @@ TYPED_TEST(ExclusiveLockTest, IndependentLocksDoNotInterfere) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      typename Ops::Ctx ctx;
       for (int i = 0; i < kIncrements; ++i) {
         auto& slot = slots[static_cast<size_t>((i + t) % kLocks)];
-        Ops::AcquireEx(slot.lock, ctx);
+        const auto handle = Ops::LockEx(slot.lock, /*slot=*/0);
         ++slot.value;
-        Ops::ReleaseEx(slot.lock, ctx);
+        Ops::UnlockEx(slot.lock, handle);
       }
     });
   }
@@ -93,7 +106,7 @@ TYPED_TEST(ExclusiveLockTest, IndependentLocksDoNotInterfere) {
 TYPED_TEST(ExclusiveLockTest, HandoverUnderOversubscription) {
   // Many short critical sections with more threads than cores: exercises
   // the spin-then-yield path and (for queue locks) long handover chains.
-  using Ops = LockOps<TypeParam>;
+  using Ops = TxnOps<TypeParam>;
   TypeParam lock;
   std::atomic<int> active{0};
   constexpr int kThreads = 8;
@@ -101,12 +114,11 @@ TYPED_TEST(ExclusiveLockTest, HandoverUnderOversubscription) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      typename Ops::Ctx ctx;
       for (int i = 0; i < kRounds; ++i) {
-        Ops::AcquireEx(lock, ctx);
+        const auto handle = Ops::LockEx(lock, /*slot=*/0);
         ASSERT_EQ(active.fetch_add(1, std::memory_order_acq_rel), 0);
         active.fetch_sub(1, std::memory_order_acq_rel);
-        Ops::ReleaseEx(lock, ctx);
+        Ops::UnlockEx(lock, handle);
       }
     });
   }

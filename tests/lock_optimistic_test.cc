@@ -1,13 +1,15 @@
 // Typed suite for the optimistic-reader interface shared by OptLock and
 // OptiQL (paper Algorithm 2 / Figure 2b): snapshot semantics, validation,
 // version monotonicity, and a seqlock-style reader/writer stress test.
+// Writers and validated reads go through the TxnOps contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "harness/lock_adapters.h"
+#include "harness/micro_bench.h"
+#include "sync/txn_ops.h"
 
 namespace optiql {
 namespace {
@@ -27,52 +29,45 @@ TYPED_TEST(OptimisticLockTest, FreeLockAdmitsAndValidatesReader) {
 }
 
 TYPED_TEST(OptimisticLockTest, ReaderFailsWhileWriterHolds) {
-  using Ops = LockOps<TypeParam>;
+  using Ops = TxnOps<TypeParam>;
   TypeParam lock;
-  typename Ops::Ctx ctx;
-  Ops::AcquireEx(lock, ctx);
+  const auto handle = Ops::LockEx(lock, /*slot=*/0);
   uint64_t v = 0;
   EXPECT_FALSE(lock.AcquireSh(v));
-  Ops::ReleaseEx(lock, ctx);
+  Ops::UnlockEx(lock, handle);
   EXPECT_TRUE(lock.AcquireSh(v));
   EXPECT_TRUE(lock.ReleaseSh(v));
 }
 
 TYPED_TEST(OptimisticLockTest, ValidationFailsAfterInterveningWriter) {
-  using Ops = LockOps<TypeParam>;
+  using Ops = TxnOps<TypeParam>;
   TypeParam lock;
-  typename Ops::Ctx ctx;
   uint64_t v = 0;
   ASSERT_TRUE(lock.AcquireSh(v));
-  Ops::AcquireEx(lock, ctx);
-  Ops::ReleaseEx(lock, ctx);
+  Ops::UnlockEx(lock, Ops::LockEx(lock, /*slot=*/0));
   EXPECT_FALSE(lock.ReleaseSh(v));
 }
 
 TYPED_TEST(OptimisticLockTest, ValidationFailsWhileWriterActive) {
-  using Ops = LockOps<TypeParam>;
+  using Ops = TxnOps<TypeParam>;
   TypeParam lock;
-  typename Ops::Ctx ctx;
   uint64_t v = 0;
   ASSERT_TRUE(lock.AcquireSh(v));
-  Ops::AcquireEx(lock, ctx);
+  const auto handle = Ops::LockEx(lock, /*slot=*/0);
   EXPECT_FALSE(lock.ReleaseSh(v));
-  Ops::ReleaseEx(lock, ctx);
+  Ops::UnlockEx(lock, handle);
 }
 
 TYPED_TEST(OptimisticLockTest, SnapshotChangesAcrossCriticalSections) {
-  using Ops = LockOps<TypeParam>;
+  using Ops = TxnOps<TypeParam>;
   TypeParam lock;
-  typename Ops::Ctx ctx;
   uint64_t v1 = 0, v2 = 0;
   ASSERT_TRUE(lock.AcquireSh(v1));
-  Ops::AcquireEx(lock, ctx);
-  Ops::ReleaseEx(lock, ctx);
+  Ops::UnlockEx(lock, Ops::LockEx(lock, /*slot=*/0));
   ASSERT_TRUE(lock.AcquireSh(v2));
   EXPECT_NE(v1, v2);
   // Each subsequent writer changes the snapshot again.
-  Ops::AcquireEx(lock, ctx);
-  Ops::ReleaseEx(lock, ctx);
+  Ops::UnlockEx(lock, Ops::LockEx(lock, /*slot=*/0));
   uint64_t v3 = 0;
   ASSERT_TRUE(lock.AcquireSh(v3));
   EXPECT_NE(v2, v3);
@@ -94,7 +89,7 @@ TYPED_TEST(OptimisticLockTest, SeqlockStressNoTornReads) {
   // Writers keep two mirrored counters in sync; readers either observe a
   // consistent pair or fail validation. Any torn read that validates is a
   // correctness bug.
-  using Ops = LockOps<TypeParam>;
+  using Ops = TxnOps<TypeParam>;
   struct Shared {
     TypeParam lock;
     volatile int64_t a = 0;
@@ -107,10 +102,9 @@ TYPED_TEST(OptimisticLockTest, SeqlockStressNoTornReads) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
-      typename Ops::Ctx ctx;
       while (!stop.load(std::memory_order_acquire)) {
         int64_t a = 0, b = 0;
-        const bool ok = Ops::ReadCritical(shared.lock, ctx, [&] {
+        const bool ok = ReadCritical(shared.lock, [&] {
           a = shared.a;
           b = shared.b;
         });
@@ -127,16 +121,15 @@ TYPED_TEST(OptimisticLockTest, SeqlockStressNoTornReads) {
   constexpr int kWrites = 4000;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&] {
-      typename Ops::Ctx ctx;
       for (int i = 0; i < kWrites; ++i) {
-        Ops::AcquireEx(shared.lock, ctx);
+        const auto handle = Ops::LockEx(shared.lock, /*slot=*/0);
         shared.a = shared.a + 1;
         // Widen the window between the two stores.
         for (int spin = 0; spin < 8; ++spin) {
           asm volatile("" ::: "memory");
         }
         shared.b = shared.b + 1;
-        Ops::ReleaseEx(shared.lock, ctx);
+        Ops::UnlockEx(shared.lock, handle);
       }
     });
   }
@@ -151,23 +144,20 @@ TYPED_TEST(OptimisticLockTest, ReadersEventuallySucceedUnderWriters) {
   // Liveness: with intermittent writers, optimistic readers must complete
   // some successful reads (for OptiQL this also exercises validation
   // against opportunistic-read snapshots).
-  using Ops = LockOps<TypeParam>;
+  using Ops = TxnOps<TypeParam>;
   TypeParam lock;
   std::atomic<bool> stop{false};
   uint64_t successes = 0;
 
   std::thread writer([&] {
-    typename Ops::Ctx ctx;
     while (!stop.load(std::memory_order_acquire)) {
-      Ops::AcquireEx(lock, ctx);
-      Ops::ReleaseEx(lock, ctx);
+      Ops::UnlockEx(lock, Ops::LockEx(lock, /*slot=*/0));
       std::this_thread::yield();
     }
   });
 
-  typename Ops::Ctx ctx;
   for (int i = 0; i < 20000 || successes == 0; ++i) {
-    if (Ops::ReadCritical(lock, ctx, [] {})) ++successes;
+    if (ReadCritical(lock, [] {})) ++successes;
     if (i > 2000000) break;  // Safety valve.
   }
   stop.store(true, std::memory_order_release);

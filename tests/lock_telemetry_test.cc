@@ -120,42 +120,6 @@ TEST(LockTelemetryTest, ExclusiveWaitCountedOncePerContendedAcquire) {
   EXPECT_EQ(s.restarts(), 0u);
 }
 
-TEST(LockTelemetryTest, AdaptiveEscalationExactness) {
-  SKIP_UNLESS_TELEMETRY();
-  LockTelemetry::Reset();
-  AdaptiveHybridLock lock;
-  ASSERT_TRUE(lock.TryAcquireEx());
-  // 12 probe collisions: 12 waits, and exactly 2 escalations (optimistic
-  // -> pessimistic-read at score 16, -> queued at 48).
-  for (int i = 0; i < 12; ++i) EXPECT_FALSE(lock.TryAcquireEx());
-  lock.ReleaseEx();
-  ASSERT_EQ(lock.CurrentMode(), AdaptiveHybridLock::Mode::kQueued);
-
-  LockTelemetry::Snapshot s = LockTelemetry::Take();
-  EXPECT_EQ(s.waits(), 12u);
-  EXPECT_EQ(s[LockTelemetry::kModeEscalation], 2u);
-  EXPECT_EQ(s[LockTelemetry::kModeDeescalation], 0u);
-
-  // Drain all the way back: exactly 2 de-escalations, however many
-  // sampled credits it takes.
-  QNodeGuard guard;
-  for (int i = 0;
-       i < 64 && lock.CurrentMode() == AdaptiveHybridLock::Mode::kQueued;
-       ++i) {
-    ASSERT_TRUE(lock.AcquireEx(guard.node()));
-    lock.ReleaseEx(guard.node(), /*via_gate=*/true);
-  }
-  uint64_t value = 0;
-  for (int i = 0; i < 2000 && lock.CurrentMode() !=
-                                  AdaptiveHybridLock::Mode::kOptimistic;
-       ++i) {
-    lock.ReadCritical([&] { ++value; });
-  }
-  ASSERT_EQ(lock.CurrentMode(), AdaptiveHybridLock::Mode::kOptimistic);
-  s = LockTelemetry::Take();
-  EXPECT_EQ(s[LockTelemetry::kModeDeescalation], 2u);
-}
-
 // Single-threaded replay: every Update of an existing key must take the
 // in-place path exactly once — no fallbacks, no restarts.
 template <class Tree>

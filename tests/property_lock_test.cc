@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/random.h"
-#include "harness/lock_adapters.h"
+#include "sync/txn_ops.h"
 
 namespace optiql {
 namespace {
@@ -37,7 +37,7 @@ class LockGridTest : public ::testing::TestWithParam<GridParam> {};
 
 template <class Lock>
 void RunConservationSweep(const GridParam& param) {
-  using Ops = LockOps<Lock>;
+  using Ops = TxnOps<Lock>;
   struct Slot {
     Lock lock;
     int64_t counter = 0;
@@ -47,13 +47,12 @@ void RunConservationSweep(const GridParam& param) {
   for (int t = 0; t < param.threads; ++t) {
     threads.emplace_back([&, t] {
       Xoshiro256 rng(static_cast<uint64_t>(t) * 1000003 + 17);
-      typename Ops::Ctx ctx;
       for (int i = 0; i < param.ops_per_thread; ++i) {
         Slot& slot =
             slots[rng.NextBounded(static_cast<uint64_t>(param.num_locks))];
-        Ops::AcquireEx(slot.lock, ctx);
+        const auto handle = Ops::LockEx(slot.lock, /*slot=*/0);
         ++slot.counter;
-        Ops::ReleaseEx(slot.lock, ctx);
+        Ops::UnlockEx(slot.lock, handle);
       }
     });
   }

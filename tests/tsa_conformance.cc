@@ -128,9 +128,25 @@ void OptLockCorrect() {
   if (lock.TryUpgrade(v)) lock.ReleaseEx();
 }
 
-// --- TxnOps facade (shared-mode families): forwards the capability through
-// the template specializations, so callers are checked exactly like direct
-// users — including the no-wait surface the transaction layer relies on. ---
+// --- TxnOps facade: forwards the capability through the template
+// specializations, so callers are checked exactly like direct users —
+// including the no-wait surface the transaction layer relies on. ---
+
+template <class Lock>
+void TxnOpsExclusiveCorrect() {
+  Lock lock;
+  using Ops = TxnOps<Lock>;
+  const typename Ops::ExHandle handle = Ops::LockEx(lock, 0);
+  Ops::UnlockEx(lock, handle);
+}
+
+void TxnOpsExclusiveFamiliesCorrect() {
+  TxnOpsExclusiveCorrect<TtsLock>();
+  TxnOpsExclusiveCorrect<TtsBackoffLock>();
+  TxnOpsExclusiveCorrect<TicketLock>();
+  TxnOpsExclusiveCorrect<McsLock>();
+  TxnOpsExclusiveCorrect<ClhLock>();
+}
 
 void TxnOpsCorrect() {
   McsRwLock rw;
@@ -139,6 +155,7 @@ void TxnOpsCorrect() {
   ROps::UnlockSh(rw, 0);
   ROps::LockEx(rw, 0);
   ROps::UnlockEx(rw, 0);
+  ROps::UnlockEx(rw, ROps::LockEx(rw, 0));
   ROps::ExHandle rh{};
   if (ROps::TryLockEx(rw, 0, rh)) ROps::UnlockEx(rw, rh);
   if (ROps::TryLockSh(rw)) ROps::UnlockShNoQueue(rw);
@@ -149,6 +166,7 @@ void TxnOpsCorrect() {
   SOps::UnlockSh(sm, 0);
   SOps::LockEx(sm, 0);
   SOps::UnlockEx(sm, 0);
+  SOps::UnlockEx(sm, SOps::LockEx(sm, 0));
   SOps::ExHandle sh{};
   if (SOps::TryLockEx(sm, 0, sh)) SOps::UnlockEx(sm, sh);
   if (SOps::TryLockSh(sm)) SOps::UnlockShNoQueue(sm);

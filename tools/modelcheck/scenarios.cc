@@ -69,7 +69,7 @@ struct ClhOps {
   }
 };
 
-struct OptLockOps {
+struct OlcOps {
   static constexpr const char* kLabel = "OptLock.word";
   OptLock lock;
   void Lock(int) { lock.AcquireEx(); }
@@ -145,28 +145,6 @@ struct HybridOps {
   }
 };
 
-struct AdaptiveOps {
-  static constexpr const char* kLabel = "AdaptiveHybridLock.word";
-  AdaptiveHybridLock lock;
-  bool via_gate[Runtime::kMaxThreads] = {};
-  void Lock(int tid) { via_gate[tid] = lock.AcquireEx(Deck(tid, 0)); }
-  void Unlock(int tid) { lock.ReleaseEx(Deck(tid, 0), via_gate[tid]); }
-  void CheckFinal(uint64_t) {
-    OPTIQL_INVARIANT(!lock.IsLockedEx() && lock.SharedCount() == 0,
-                     "lock state not drained at end");
-  }
-};
-
-// Same lock preset to kQueued so 2-thread programs reach the MCS-gated
-// writer path (organic promotion needs more collisions than an exhaustive
-// small program produces).
-struct AdaptiveQueuedOps : AdaptiveOps {
-  void Init() {
-    lock.ModelSetState(AdaptiveHybridLock::Mode::kQueued,
-                       AdaptiveHybridLock::kPromoteQueued);
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Scenario templates
 
@@ -182,7 +160,6 @@ class MutexScenario : public Scenario {
   void Reset() override {
     ops_.emplace();
     cs_.emplace();
-    if constexpr (requires(Ops& o) { o.Init(); }) ops_->Init();
     Runtime::Current()->NameObject(&ops_->lock, Ops::kLabel);
   }
 
@@ -614,7 +591,7 @@ std::vector<ScenarioInfo> BuildRegistry() {
   add("clh_mutex_2", "CLH lock (node migration): 2 writers, 1 section each", 2,
       false, Make<MutexScenario<ClhOps>>(2, 1));
   add("optlock_mutex_2", "OptLock: 2 writers, 1 section each + version count",
-      2, false, Make<MutexScenario<OptLockOps>>(2, 1));
+      2, false, Make<MutexScenario<OlcOps>>(2, 1));
   add("optiql_mutex_2", "OptiQL: 2 writers, 1 section each + version count", 2,
       false, Make<MutexScenario<OptiQlOps>>(2, 1));
   add("optiql_nor_mutex_2", "OptiQL-NOR: 2 writers, 1 section each", 2, false,
@@ -625,14 +602,10 @@ std::vector<ScenarioInfo> BuildRegistry() {
       Make<MutexScenario<McsRwWriterOps>>(2, 1));
   add("hybrid_mutex_2", "hybrid lock: 2 writers, 1 section each", 2, false,
       Make<MutexScenario<HybridOps>>(2, 1));
-  add("adaptive_mutex_2", "adaptive hybrid (optimistic mode): 2 writers", 2,
-      false, Make<MutexScenario<AdaptiveOps>>(2, 1));
-  add("adaptive_queued_2", "adaptive hybrid preset to kQueued: 2 writers", 2,
-      false, Make<MutexScenario<AdaptiveQueuedOps>>(2, 1));
 
   // ...and the paper-central families at 3 threads.
   add("optlock_mutex_3", "OptLock: 3 writers", 3, false,
-      Make<MutexScenario<OptLockOps>>(3, 1));
+      Make<MutexScenario<OlcOps>>(3, 1));
   add("optiql_mutex_3", "OptiQL: 3 writers (full handover chain)", 3, false,
       Make<MutexScenario<OptiQlOps>>(3, 1));
   add("mcsrw_writers_3", "MCS-RW: 3 queued writers", 3, false,
@@ -640,7 +613,7 @@ std::vector<ScenarioInfo> BuildRegistry() {
 
   // Optimistic readers against writers (seqlock torn-read spec).
   add("optlock_optread_2", "OptLock: writer vs validating reader", 2, false,
-      Make<OptReadScenario<OptLockOps>>(2, 1));
+      Make<OptReadScenario<OlcOps>>(2, 1));
   add("optiql_optread_2", "OptiQL: writer vs validating reader", 2, false,
       Make<OptReadScenario<OptiQlOps>>(2, 1));
   add("optiql_optread_3",
