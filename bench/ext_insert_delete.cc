@@ -85,7 +85,7 @@ void RunSteadyState(const BenchFlags& flags) {
                       "reclaimed"});
   RunSteadyStateRow<BTreeOptLock>(flags, "OptLock", table);
   RunSteadyStateRow<BTreeOptiQl>(flags, "OptiQL", table);
-  RunSteadyStateRow<BTreeMcsRw>(flags, "MCS-RW coupling", table);
+  RunSteadyStateRow<BTreeMcsRw>(flags, "MCS-RW leaf", table);
   table.Print();
   std::printf("\n");
 }

@@ -25,9 +25,10 @@ using BTreeOptiQlNor =
     BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQLNor>>;
 using BTreeOptiQlAor =
     BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL, /*kAor=*/true>>;
-using BTreePthread = BTree<uint64_t, uint64_t,
-                           BTreeCouplingPolicy<SharedMutexLock>>;
-using BTreeMcsRw = BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>>;
+// The reader-writer baselines: OptLock inner nodes over an RW leaf lock.
+using BTreePthread =
+    BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<SharedMutexLock>>;
+using BTreeMcsRw = BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>>;
 
 // Latch-free in-place leaf update variants (ISSUE 6 extension): same
 // protocols, but Update/Upsert of an existing key publishes the value with

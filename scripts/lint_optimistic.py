@@ -61,9 +61,10 @@ them:
 
 The TxnOps contract names (StableVersion / ValidateVersion) are matched
 in any spelling — bare, `Ops::`-qualified, or `TxnOps<Lock>::`-qualified
-— since the names are unique to the contract. The coupling-facade names
-(AcquireSh et al.) stay member-call-only: their qualified spellings are
-the pessimistic facade, which TSA covers.
+— since the names are unique to the contract. The optimistic member-call
+names (AcquireSh et al.) stay member-call-only: qualified spellings such
+as `LeafOps::LockSh(lock, slot)` are the TxnOps shared/exclusive surface
+of the reader-writer locks, which TSA covers.
 
 Engines:
   --engine=lexical (default) needs only the Python stdlib: functions are
@@ -109,11 +110,11 @@ TRUSTED_PATHS = (
 # construction. Kept deliberately narrow.
 HELPER_NAME_RE = re.compile(
     r"^(ReadLock\w*|Validate\w*|ReleaseSh|AcquireSh|TryUpgrade\w*"
-    r"|ReleaseNode|LockOf|UnlockOf|ReadCritical)$")
+    r"|ReleaseNode|ReadCritical)$")
 
 # R1/R2 section openers and closers. `AcquireSh` is only an opener as a
-# member call (`x.AcquireSh(` / `x->AcquireSh(`): `POps::AcquireSh(lock,
-# slot)` is the pessimistic coupling facade, checked by TSA instead.
+# member call (`x.AcquireSh(` / `x->AcquireSh(`): a qualified call is the
+# TxnOps surface of a pessimistic lock, checked by TSA instead.
 OPENER_RE = re.compile(
     r"(?<![:\w])(?:ReadLockOrRestart|ReadLockNode)\s*\(|"
     r"(?:\.|->)AcquireSh\s*\(")
@@ -134,8 +135,8 @@ OCC_CLOSER_RE = re.compile(r"\bValidateVersion\s*\(")
 OCC_WRITE_RE = re.compile(r"(?:\.|->)\s*(?:Install\w*|store)\s*\(")
 
 # R7: a blocking/pessimistic acquire, member-call form only (qualified
-# spellings like `LeafOps::LockEx(...)` are the coupling facade, covered
-# by TSA). Longer names first so `AcquireExDeferred` is not half-matched.
+# spellings like `LeafOps::LockEx(...)` are the TxnOps surface, covered
+# by TSA where the lock is annotated). Longer names first so `AcquireExDeferred` is not half-matched.
 BLOCKING_ACQUIRE_RE = re.compile(
     r"(?:\.|->)(?:AcquireExDeferred|AcquireShPessimistic|AcquireEx)\s*\(")
 
@@ -389,8 +390,8 @@ def check_function_rules(path, func, allow, findings):
     sections).
 
     R6 only applies to sections opened by `StableVersion` (the OCC leg of
-    the TxnOps contract); coupling-opened sections (ReadLockOrRestart /
-    AcquireSh) keep the classic R1/R2 treatment.
+    the TxnOps contract); sections opened by ReadLockOrRestart /
+    ReadLockNode / AcquireSh keep the classic R1/R2 treatment.
     """
     if HELPER_NAME_RE.match(func.name or ""):
         return

@@ -1,5 +1,7 @@
 #include "analysis/model_runtime.h"
 
+#include <pthread.h>
+
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -127,6 +129,19 @@ Runtime::Runtime(Scenario& scenario)
   OPTIQL_CHECK(num_threads_ >= 1 && num_threads_ <= kMaxThreads);
   OPTIQL_CHECK(g_runtime == nullptr);  // one exploration at a time
   g_runtime = this;
+  // One thread of the exploration runs at a time, so on one CPU each
+  // semaphore handoff is a plain context switch, not a cross-core wakeup.
+  // Pin to the CPU we are on (concurrent ctest -j explorations stay spread
+  // out) before spawning: workers inherit the mask. Best effort.
+  const int cpu = sched_getcpu();
+  if (cpu >= 0 &&
+      pthread_getaffinity_np(pthread_self(), sizeof(controller_affinity_),
+                             &controller_affinity_) == 0) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned_ = pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
+  }
   master_decks_.resize(num_threads_);
   for (int tid = 0; tid < num_threads_; ++tid) {
     for (int i = 0; i < kDeckSize; ++i) {
@@ -144,6 +159,10 @@ Runtime::~Runtime() {
   shutdown_ = true;
   for (int tid = 0; tid < num_threads_; ++tid) slots_[tid].start.release();
   for (int tid = 0; tid < num_threads_; ++tid) slots_[tid].thread.join();
+  if (pinned_) {
+    pthread_setaffinity_np(pthread_self(), sizeof(controller_affinity_),
+                           &controller_affinity_);
+  }
   for (auto& deck : master_decks_) {
     for (QNode* node : deck) {
       // Executions may leave nodes mid-protocol; normalize before Release's

@@ -22,6 +22,8 @@
 #error "model_runtime.h is only meaningful in -DOPTIQL_MODEL=ON builds"
 #endif
 
+#include <sched.h>
+
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -176,6 +178,9 @@ class Runtime {
   bool in_finale_ = false;
   bool shutdown_ = false;
   uint32_t pool_in_use_at_begin_ = 0;
+  // The controller's CPU mask before the runtime pinned it (see ctor).
+  cpu_set_t controller_affinity_{};
+  bool pinned_ = false;
 };
 
 }  // namespace optiql::model

@@ -1,18 +1,28 @@
 // Memory-optimized B+-tree in the BTreeOLC style (Leis & Wang; paper §6.1),
-// parameterized over the node size and the synchronization policy:
+// parameterized over the node size and the synchronization policy. Every
+// policy shares one descent: inner nodes carry an OptLock and are read
+// optimistically; the only axis is the leaf step.
 //
 //   * BTreeOlcPolicy            — classic optimistic lock coupling with the
-//                                 centralized OptLock everywhere (baseline).
+//                                 centralized OptLock everywhere (baseline):
+//                                 writers upgrade the leaf snapshot.
 //   * BTreeOptiQlPolicy<L,AOR>  — the paper's adapted protocol (Algorithm
-//                                 4): inner nodes keep OptLock, leaves use
-//                                 OptiQL (or OptiQL-NOR); writers lock the
-//                                 leaf *directly* instead of upgrading, then
-//                                 validate the parent. With AOR the
-//                                 opportunistic-read window inherited during
-//                                 handover stays open through the in-leaf
-//                                 search (§6.1 last paragraph).
-//   * BTreeCouplingPolicy<L>    — traditional pessimistic lock coupling for
-//                                 reader-writer locks (MCS-RW, pthread).
+//                                 4): leaves use OptiQL (or OptiQL-NOR);
+//                                 writers lock the leaf *directly* instead
+//                                 of upgrading, then validate the parent.
+//                                 With AOR the opportunistic-read window
+//                                 inherited during handover stays open
+//                                 through the in-leaf search (§6.1 last
+//                                 paragraph).
+//   * BTreeRwLeafPolicy<L>      — the paper's reader-writer-lock baseline
+//                                 (MCS-RW, pthread): the same direct-leaf
+//                                 write step over an RW leaf lock, whose
+//                                 readers take the leaf shared and then
+//                                 validate the parent.
+//
+// The leaf read discipline follows the leaf lock's TxnOps contract:
+// versioned leaves are read optimistically (snapshot, copy, validate),
+// the others under their shared mode.
 //
 // Structural decisions (all standard for memory-optimized B+-trees):
 //   * Small nodes (default 256 bytes, Figure 11 sweeps 256B..16KB).
@@ -62,7 +72,7 @@
 
 namespace optiql {
 
-enum class BTreeProtocol { kOlc, kOptiQl, kCoupling };
+enum class BTreeProtocol { kOlc, kOptiQl };
 
 struct BTreeOlcPolicy {
   static constexpr BTreeProtocol kProtocol = BTreeProtocol::kOlc;
@@ -81,14 +91,11 @@ struct BTreeOptiQlPolicy {
   using LeafLock = QlLock;
 };
 
+// OptLock inner nodes over a reader-writer leaf lock (McsRwLock or
+// SharedMutexLock) — the authors' "OptLocks on inner nodes and MCS RW
+// locks on leaf nodes" baseline, run through the direct-leaf step.
 template <class RwLock>
-struct BTreeCouplingPolicy {
-  static constexpr BTreeProtocol kProtocol = BTreeProtocol::kCoupling;
-  static constexpr bool kAdjustableOpRead = false;
-  static constexpr bool kInPlaceUpdates = false;
-  using InnerLock = RwLock;
-  using LeafLock = RwLock;
-};
+using BTreeRwLeafPolicy = BTreeOptiQlPolicy<RwLock>;
 
 // FB+-tree-style latch-free leaf value updates (see PAPERS.md): an Update/
 // Upsert of an *existing* key publishes the new value with one atomic store
@@ -118,11 +125,20 @@ class BTree {
   using InnerOps = TxnOps<InnerLock>;
   using LeafOps = TxnOps<LeafLock>;
 
+  // Leaf read discipline, from the leaf lock's contract: a versioned leaf
+  // is read optimistically like the inner nodes; a reader-writer leaf has
+  // no version word and is read under its shared mode.
+  static constexpr bool kSharedLeafReads = !LeafOps::kVersioned;
+  static_assert(!kSharedLeafReads || (LeafOps::kSharedMode &&
+                                      kProtocol == BTreeProtocol::kOptiQl),
+                "an unversioned leaf lock needs a shared mode and the "
+                "direct-leaf write step");
+
   // In-place publication stores the value through std::atomic_ref while
   // readers copy it unsynchronized-then-validate, so the value must be a
-  // single machine word; and the coupling protocol has no versioned leaf
-  // lock to validate against.
-  static_assert(!kInPlaceUpdates || kProtocol != BTreeProtocol::kCoupling,
+  // single machine word, and the leaf lock must carry a version to
+  // validate against.
+  static_assert(!kInPlaceUpdates || LeafOps::kVersioned,
                 "in-place updates require a versioned (optimistic) leaf lock");
   static_assert(!kInPlaceUpdates ||
                     (std::is_trivially_copyable_v<Value> &&
@@ -167,8 +183,8 @@ class BTree {
   // Point lookup; copies the value into `out`.
   bool Lookup(const Key& key, Value& out) const {
     EpochGuard guard;
-    if constexpr (kProtocol == BTreeProtocol::kCoupling) {
-      return LookupCoupling(key, out);
+    if constexpr (kSharedLeafReads) {
+      return LookupSharedLeaf(key, out);
     } else {
       return LookupOptimistic(key, out);
     }
@@ -186,12 +202,12 @@ class BTree {
   // of serializing. One EpochGuard covers the whole batch. `found[i]` is
   // written for every i; `values[i]` only where `found[i]` is true.
   // Returns the number of hits. Results are identical to calling Lookup
-  // per key in batch order. Not available for the pessimistic coupling
-  // protocol (its lock-handover descent cannot be suspended mid-node), so
-  // coupling trees fall back to the generic loop in index_ops.h.
+  // per key in batch order. Only for versioned leaves: a lane parked on a
+  // shared-locked leaf would block every other lane, so reader-writer leaf
+  // trees fall back to the generic loop in index_ops.h.
   size_t LookupBatch(const Key* keys, size_t n, Value* values, bool* found,
                      size_t interleave = kDefaultBatchLanes) const
-    requires(kProtocol != BTreeProtocol::kCoupling)
+    requires(LeafOps::kVersioned)
   {
     if (n == 0) return 0;
     EpochGuard guard;
@@ -218,8 +234,8 @@ class BTree {
     out.clear();
     if (limit == 0) return 0;
     EpochGuard guard;
-    if constexpr (kProtocol == BTreeProtocol::kCoupling) {
-      return ScanCoupling(start, limit, out);
+    if constexpr (kSharedLeafReads) {
+      return ScanSharedLeaf(start, limit, out);
     } else {
       return ScanOptimistic(start, limit, out);
     }
@@ -513,12 +529,15 @@ class BTree {
   static Inner* AsInner(NodeBase* node) { return static_cast<Inner*>(node); }
 
   // Invariant support: exclusive-lock introspection across the leaf/inner
-  // lock types. Only instantiated for versioned protocols (the coupling
-  // branch of PublishSplit is `if constexpr`-discarded, and McsRwLock has
-  // no IsLockedEx).
+  // lock types. A reader-writer leaf lock cannot report an exclusive hold
+  // (no IsLockedEx in its contract), so such a leaf passes unchecked.
   static bool NodeIsLockedEx(NodeBase* node) {
-    return IsLeaf(node) ? AsLeaf(node)->lock.IsLockedEx()
-                        : AsInner(node)->lock.IsLockedEx();
+    if constexpr (requires(const LeafLock& l) { l.IsLockedEx(); }) {
+      return IsLeaf(node) ? AsLeaf(node)->lock.IsLockedEx()
+                          : AsInner(node)->lock.IsLockedEx();
+    } else {
+      return IsLeaf(node) || AsInner(node)->lock.IsLockedEx();
+    }
   }
   static const Leaf* AsLeaf(const NodeBase* node) {
     return static_cast<const Leaf*>(node);
@@ -553,9 +572,17 @@ class BTree {
     return true;
   }
 
+  // A reader-writer leaf has no version word to snapshot: it reports an
+  // empty one, and its caller locks the leaf instead (the direct-leaf write
+  // step, or LockLeafShared) and validates the parent edge after.
   static bool ReadLockNode(const NodeBase* node, uint64_t& v) {
-    return IsLeaf(node) ? ReadLockOrRestart(AsLeaf(node)->lock, v)
-                        : ReadLockOrRestart(AsInner(node)->lock, v);
+    if constexpr (kSharedLeafReads) {
+      v = 0;
+      return IsLeaf(node) || ReadLockOrRestart(AsInner(node)->lock, v);
+    } else {
+      return IsLeaf(node) ? ReadLockOrRestart(AsLeaf(node)->lock, v)
+                          : ReadLockOrRestart(AsInner(node)->lock, v);
+    }
   }
 
   template <class Lock>
@@ -877,140 +904,129 @@ class BTree {
     }
   }
 
-  // --- Pessimistic (coupling) traversal ---
-  //
-  // Hand-over-hand coupling is outside what Clang's thread-safety analysis
-  // can express: the set of held locks is data-dependent (each iteration
-  // acquires child then releases parent), so every coupling function below
-  // opts out with OPTIQL_NO_THREAD_SAFETY_ANALYSIS. These paths are covered
-  // by the optimistic-protocol linter's pairing rule and the invariant
-  // build instead.
+  // Descends to the leaf covering `key` WITHOUT reading the leaf's own
+  // lock word — a transaction may already hold that leaf exclusively (a
+  // version read would spin on our own lock), and a reader-writer leaf is
+  // locked by the caller. The edge is parent-validated: the last inner's
+  // separators were read under a validated version `pv`, so the leaf
+  // covered `key` at that instant. `parent` is null for a root leaf.
+  struct LeafEdge {
+    Leaf* leaf;
+    const Inner* parent;
+    uint64_t pv;
+  };
 
-  // Coupling goes through the slot-based shared/exclusive surface of the
-  // same TxnOps contract (InnerLock == LeafLock for coupling policies).
-  using POps = TxnOps<InnerLock>;
-
-  bool LookupCoupling(const Key& key,
-                      Value& out) const OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
+  LeafEdge DescendToLeaf(const Key& key) const {
     while (true) {
       NodeBase* node = root_.load(std::memory_order_acquire);
-      int slot = 0;
-      LockOf(node, /*shared=*/true, slot);
-      if (node != root_.load(std::memory_order_acquire)) {
-        UnlockOf(node, /*shared=*/true, slot);
-        continue;
-      }
-      while (!IsLeaf(node)) {
-        Inner* inner = AsInner(node);
-        NodeBase* child =
-            inner->children[inner->ChildIndex(key, inner->count)];
-        PrefetchNodeHeader(child);  // Warm the child's lock word.
-        const int child_slot = 1 - slot;
-        LockOf(child, /*shared=*/true, child_slot);
-        UnlockOf(node, /*shared=*/true, slot);
-        node = child;
-        slot = child_slot;
-      }
-      Leaf* leaf = AsLeaf(node);
-      const uint16_t pos = leaf->LowerBound(key, leaf->count);
-      const bool found = pos < leaf->count && leaf->keys[pos] == key;
-      if (found) out = leaf->values[pos];
-      UnlockOf(node, /*shared=*/true, slot);
-      return found;
-    }
-  }
+      // Root-is-leaf short-circuit before any version read (we might hold
+      // the root leaf); a stale root is caught by the caller's checks.
+      if (IsLeaf(node)) return {AsLeaf(node), nullptr, 0};
+      uint64_t v;
+      if (!ReadLockNode(node, v)) continue;
+      if (node != root_.load(std::memory_order_acquire)) continue;
 
-  size_t ScanCoupling(const Key& start, size_t limit,
-                      std::vector<std::pair<Key, Value>>& out) const
-      OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-    while (true) {
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      int slot = 0;
-      LockOf(node, /*shared=*/true, slot);
-      if (node != root_.load(std::memory_order_acquire)) {
-        UnlockOf(node, /*shared=*/true, slot);
-        continue;
-      }
-      while (!IsLeaf(node)) {
-        Inner* inner = AsInner(node);
-        NodeBase* child =
-            inner->children[inner->ChildIndex(start, inner->count)];
-        PrefetchNodeHeader(child);  // Warm the child's lock word.
-        const int child_slot = 1 - slot;
-        LockOf(child, /*shared=*/true, child_slot);
-        UnlockOf(node, /*shared=*/true, slot);
-        node = child;
-        slot = child_slot;
-      }
-      Leaf* leaf = AsLeaf(node);
-      while (leaf != nullptr && out.size() < limit) {
-        for (uint16_t i = leaf->LowerBound(start, leaf->count);
-             i < leaf->count && out.size() < limit; ++i) {
-          out.push_back({leaf->keys[i], leaf->values[i]});
+      bool restart = false;
+      while (!restart) {
+        const Inner* inner = AsInner(node);
+        const uint16_t n = LoadCount(inner, kInnerMax);
+        NodeBase* child = inner->children[inner->ChildIndex(key, n)];
+        PrefetchNodeHeader(child);
+        if (!Validate(inner->lock, v)) {
+          restart = true;
+          break;
         }
-        Leaf* next = leaf->next;
-        if (next == nullptr || out.size() >= limit) break;
-        PrefetchNodeHeader(next);
-        const int next_slot = 1 - slot;
-        POps::LockSh(next->lock, next_slot);
-        POps::UnlockSh(leaf->lock, slot);
-        leaf = next;
-        slot = next_slot;
-      }
-      POps::UnlockSh(leaf->lock, slot);
-      return out.size();
-    }
-  }
-
-  void LockOf(NodeBase* node, bool shared,
-              int slot) const OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-    if (IsLeaf(node)) {
-      if (shared) {
-        POps::LockSh(AsLeaf(node)->lock, slot);
-      } else {
-        POps::LockEx(AsLeaf(node)->lock, slot);
-      }
-    } else {
-      if (shared) {
-        POps::LockSh(AsInner(node)->lock, slot);
-      } else {
-        POps::LockEx(AsInner(node)->lock, slot);
+        // `child` is now trustworthy; its level field is immutable.
+        if (IsLeaf(child)) return {AsLeaf(child), inner, v};
+        uint64_t cv;
+        if (!ReadLockNode(child, cv)) {
+          restart = true;
+          break;
+        }
+        if (!Validate(inner->lock, v)) {
+          restart = true;
+          break;
+        }
+        node = child;
+        v = cv;
       }
     }
   }
 
-  void UnlockOf(NodeBase* node, bool shared,
-                int slot) const OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-    if (IsLeaf(node)) {
-      if (shared) {
-        POps::UnlockSh(AsLeaf(node)->lock, slot);
-      } else {
-        POps::UnlockEx(AsLeaf(node)->lock, slot);
-      }
-    } else {
-      if (shared) {
-        POps::UnlockSh(AsInner(node)->lock, slot);
-      } else {
-        POps::UnlockEx(AsInner(node)->lock, slot);
-      }
+  // Re-checks an edge after its leaf was locked or snapshotted: the parent
+  // is unchanged (or the leaf is still the root), so the leaf still covers
+  // the key it was reached by.
+  bool ValidateEdge(const LeafEdge& edge) const {
+    return edge.parent != nullptr
+               ? Validate(edge.parent->lock, edge.pv)
+               : edge.leaf == root_.load(std::memory_order_acquire);
+  }
+
+  // --- Shared-mode leaf reads (reader-writer leaf locks) ---
+  //
+  // Readers descend the inner nodes optimistically, lock the leaf shared
+  // and re-validate the parent: every split, merge and rotation of a leaf
+  // bumps its parent, so a valid parent means the held leaf still covers
+  // the key. The held-lock set is data-dependent, which Clang's thread-
+  // safety analysis cannot express: these functions and the leaf write
+  // step opt out with OPTIQL_NO_THREAD_SAFETY_ANALYSIS.
+
+  // Returns the leaf covering `key`, held shared through `slot`.
+  Leaf* LockLeafShared(const Key& key,
+                       int slot) const OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
+    RestartCounter restarts(read_restarts_);
+    while (true) {
+      restarts.Tick();
+      const LeafEdge edge = DescendToLeaf(key);
+      LeafOps::LockSh(edge.leaf->lock, slot);
+      if (ValidateEdge(edge)) return edge.leaf;
+      LeafOps::UnlockSh(edge.leaf->lock, slot);
     }
+  }
+
+  bool LookupSharedLeaf(const Key& key,
+                        Value& out) const OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
+    Leaf* leaf = LockLeafShared(key, /*slot=*/0);
+    const uint16_t pos = leaf->LowerBound(key, leaf->count);
+    const bool found = pos < leaf->count && leaf->keys[pos] == key;
+    if (found) out = leaf->values[pos];
+    LeafOps::UnlockSh(leaf->lock, /*slot=*/0);
+    return found;
+  }
+
+  // Couples shared locks rightward along the leaf chain. A leaf's `next`
+  // and its boundary with `next` only change under that leaf's exclusive
+  // lock, so the sweep sees every key exactly once.
+  size_t ScanSharedLeaf(const Key& start, size_t limit,
+                        std::vector<std::pair<Key, Value>>& out) const
+      OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
+    int slot = 0;
+    Leaf* leaf = LockLeafShared(start, slot);
+    while (true) {
+      for (uint16_t i = leaf->LowerBound(start, leaf->count);
+           i < leaf->count && out.size() < limit; ++i) {
+        out.push_back({leaf->keys[i], leaf->values[i]});
+      }
+      Leaf* next = leaf->next;
+      if (next == nullptr || out.size() >= limit) break;
+      PrefetchNodeHeader(next);
+      const int next_slot = 1 - slot;
+      LeafOps::LockSh(next->lock, next_slot);
+      LeafOps::UnlockSh(leaf->lock, slot);
+      leaf = next;
+      slot = next_slot;
+    }
+    LeafOps::UnlockSh(leaf->lock, slot);
+    return out.size();
   }
 
   // --- Write paths ---
 
+  // One descent for every policy: optimistic with eager inner-node splits
+  // and merges (OptLock-style upgrades on inner nodes), then the policy's
+  // leaf step.
   bool Write(const Key& key, const Value* value, WriteKind kind) {
     EpochGuard guard;
-    if constexpr (kProtocol == BTreeProtocol::kCoupling) {
-      return WriteCoupling(key, value, kind);
-    } else {
-      return WriteOptimistic(key, value, kind);
-    }
-  }
-
-  // Shared by OLC and OptiQL protocols: optimistic descent with eager
-  // inner-node splits (OptLock-style upgrades on inner nodes), then a
-  // protocol-specific leaf step.
-  bool WriteOptimistic(const Key& key, const Value* value, WriteKind kind) {
     RestartCounter restarts(write_restarts_);
     while (true) {
       restarts.Tick();
@@ -1216,21 +1232,17 @@ class BTree {
   // exclusively and has verified root identity when parent is null.
   void PublishSplit(Inner* parent, NodeBase* left, NodeBase* right,
                     const Key& separator) {
-    if constexpr (kProtocol != BTreeProtocol::kCoupling) {
-      // SMO ordering: a split becomes visible to optimistic readers the
-      // moment the separator lands in the parent, so both the parent and
-      // the (half-emptied) left node must already be exclusively locked —
-      // publishing first and locking after would expose a torn split.
-      // (The coupling protocol's reader-writer locks carry no IsLockedEx;
-      // its discipline is enforced by thread-safety analysis instead.)
-      OPTIQL_INVARIANT(
-          parent == nullptr || parent->lock.IsLockedEx(),
-          "B+-tree SMO ordering: split published into an unlocked parent");
-      OPTIQL_INVARIANT(
-          NodeIsLockedEx(left),
-          "B+-tree SMO ordering: split published while the left half is "
-          "not exclusively locked");
-    }
+    // SMO ordering: a split becomes visible to optimistic readers the
+    // moment the separator lands in the parent, so both the parent and the
+    // (half-emptied) left node must already be exclusively locked —
+    // publishing first and locking after would expose a torn split.
+    OPTIQL_INVARIANT(
+        parent == nullptr || parent->lock.IsLockedEx(),
+        "B+-tree SMO ordering: split published into an unlocked parent");
+    OPTIQL_INVARIANT(
+        NodeIsLockedEx(left),
+        "B+-tree SMO ordering: split published while the left half is "
+        "not exclusively locked");
     if (parent != nullptr) {
       parent->InsertAt(parent->ChildIndex(separator, parent->count),
                        separator, right);
@@ -1289,11 +1301,12 @@ class BTree {
 
   // OptiQL leaf step (paper Algorithm 4): lock the leaf *directly* with the
   // queue-based lock, then validate the parent; no upgrade, no re-search
-  // after waiting in the queue.
+  // after waiting in the queue. Reader-writer leaves take the same step.
   LeafWriteStatus LeafWriteOptiQl(Leaf* leaf, Inner* parent, uint64_t pv,
                                   bool parent_is_root, const Key& key,
                                   const Value* value, WriteKind kind,
-                                  bool* result) {
+                                  bool* result)
+      OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
     typename LeafOps::ExHandle handle{};
     if constexpr (kAor) {
       // The AOR window (deferred acquisition with opportunistic reads) is
@@ -1304,7 +1317,7 @@ class BTree {
     } else {
       handle = LeafOps::LockEx(leaf->lock, /*slot=*/0);
     }
-    auto abort = [&] {
+    auto abort = [&]() OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
       if constexpr (kAor) leaf->lock.FinishAcquireEx(handle.node);
       LeafOps::UnlockEx(leaf->lock, handle);
       return LeafWriteStatus::kRestart;
@@ -1433,7 +1446,7 @@ class BTree {
     size_.fetch_add(1, std::memory_order_acq_rel);
   }
 
-  // --- Delete-time rebalancing (all protocols) ---
+  // --- Delete-time rebalancing (all policies) ---
   //
   // Lock discipline mirrors the split paths: the parent is always held
   // exclusively before any same-level sibling pair, so at most three locks
@@ -1442,11 +1455,6 @@ class BTree {
   // then just skips the victim); when neither a merge fits nor a rotation
   // puts both nodes strictly above their minimum, the pass backs out
   // without publishing any change.
-
-  static bool IsUnderfull(const NodeBase* node) {
-    return IsLeaf(node) ? node->count <= kLeafMin
-                        : node->count <= kInnerMin;
-  }
 
   // True iff balancing `l + r` entries across both nodes leaves each
   // strictly above `min` — i.e. the rotation actually cures the underflow.
@@ -1753,7 +1761,20 @@ class BTree {
     return LeafWriteStatus::kDone;
   }
 
-  // Leaf-level rebalance for the OptiQL protocol. The caller already owns
+  // Releases the victim of a leaf merge: marked obsolete where the family
+  // supports it, so parked optimistic readers fail fast. A reader-writer
+  // leaf is released plainly; every waiter on it fails its parent
+  // validation afterwards.
+  static void UnlockLeafMerged(Leaf* victim, typename LeafOps::ExHandle h)
+      OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
+    if constexpr (LeafOps::kHasObsolete) {
+      LeafOps::UnlockExObsolete(victim->lock, h);
+    } else {
+      LeafOps::UnlockEx(victim->lock, h);
+    }
+  }
+
+  // Leaf-level rebalance for the direct-leaf step. The caller already owns
   // the leaf exclusively (queue grant, window closed) and validated the
   // parent edge; we upgrade the parent from its snapshot and lock the
   // sibling through its queue. Queued writers on a merged-away leaf drain
@@ -1761,7 +1782,8 @@ class BTree {
   LeafWriteStatus RebalanceLeafOptiQl(Inner* parent, uint64_t pv,
                                       bool parent_is_root, Leaf* leaf,
                                       typename LeafOps::ExHandle handle,
-                                      const Key& key, bool* result) {
+                                      const Key& key, bool* result)
+      OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
     if (!TryUpgradeLock(parent->lock, pv)) {
       LeafOps::UnlockEx(leaf->lock, handle);
       return LeafWriteStatus::kRestart;
@@ -1783,18 +1805,30 @@ class BTree {
     // Deadlock-free: sibling holders either hold only that leaf (plain leaf
     // writers — they never block on the parent, they validate it) or
     // acquired the parent first (structural passes — excluded, we hold it).
+    // Shared-mode scans add a third kind: they hold a leaf while blocking
+    // on its right neighbour, so reader-writer leaves are locked left to
+    // right — with the sibling on the left, drop the leaf, lock the
+    // sibling, relock the leaf. The leaf cannot change meanwhile: every
+    // writer reaching it must validate the parent, which we hold, so it
+    // backs out without modifying the leaf.
+    if constexpr (kSharedLeafReads) {
+      if (sibling == left) LeafOps::UnlockEx(leaf->lock, handle);
+    }
     const typename LeafOps::ExHandle sibling_handle =
         LeafOps::LockEx(sibling->lock, /*slot=*/1);
+    if constexpr (kSharedLeafReads) {
+      if (sibling == left) handle = LeafOps::LockEx(leaf->lock, /*slot=*/0);
+    }
 
     const uint16_t l = left->count;
     const uint16_t r = right->count;
     if (l + r <= kLeafMax && (parent->count >= 2 || parent_is_root)) {
       MergeLeaves(parent, left_idx, left, right);
       if (right == leaf) {
-        LeafOps::UnlockExObsolete(leaf->lock, handle);
+        UnlockLeafMerged(leaf, handle);
         LeafOps::UnlockEx(sibling->lock, sibling_handle);
       } else {
-        LeafOps::UnlockExObsolete(sibling->lock, sibling_handle);
+        UnlockLeafMerged(sibling, sibling_handle);
         LeafOps::UnlockEx(leaf->lock, handle);
       }
       RetireNode(right);
@@ -1821,218 +1855,6 @@ class BTree {
     *result = ApplyToLeaf(leaf, key, nullptr, WriteKind::kRemove);
     LeafOps::UnlockEx(leaf->lock, handle);
     return LeafWriteStatus::kDone;
-  }
-
-  // --- Pessimistic write path: exclusive top-down coupling with eager
-  // splits (at most two exclusive locks held). ---
-
-  bool WriteCoupling(const Key& key, const Value* value,
-                     WriteKind kind) OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-    while (true) {
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      int slot = 0;
-      LockOf(node, /*shared=*/false, slot);
-      if (node != root_.load(std::memory_order_acquire)) {
-        UnlockOf(node, /*shared=*/false, slot);
-        continue;
-      }
-
-      // Split a full root first so descending splits always have a parent.
-      // The key may now belong to the new right sibling, which is only
-      // reachable through the new root, so re-traverse.
-      if (NeedsSplitForWrite(kind) && IsFull(node)) {
-        SplitChildOfNothing(node);
-        UnlockOf(node, /*shared=*/false, slot);
-        continue;
-      }
-
-      bool at_root = true;
-      bool restart = false;
-      while (!IsLeaf(node)) {
-        Inner* inner = AsInner(node);
-        uint16_t idx = inner->ChildIndex(key, inner->count);
-        NodeBase* child = inner->children[idx];
-        PrefetchNodeHeader(child);  // Warm the child's lock word.
-        const int child_slot = 1 - slot;
-        LockOf(child, /*shared=*/false, child_slot);
-        if (NeedsSplitForWrite(kind) && IsFull(child)) {
-          NodeBase* right = SplitChild(inner, child);
-          // Re-route: the key may belong to the new right node.
-          idx = inner->ChildIndex(key, inner->count);
-          NodeBase* target = inner->children[idx];
-          if (target != child) {
-            UnlockOf(child, /*shared=*/false, child_slot);
-            LockOf(target, /*shared=*/false, child_slot);
-            child = target;
-          }
-          (void)right;
-        } else if (kind == WriteKind::kRemove && IsUnderfull(child) &&
-                   RebalanceChildCoupling(inner, at_root, slot, child,
-                                          child_slot)) {
-          // Structure changed and every lock was released; separators may
-          // have moved, so re-route from the root.
-          restart = true;
-          break;
-        }
-        UnlockOf(node, /*shared=*/false, slot);
-        node = child;
-        slot = child_slot;
-        at_root = false;
-      }
-      if (restart) continue;
-
-      Leaf* leaf = AsLeaf(node);
-      const bool result = ApplyToLeaf(leaf, key, value, kind);
-      UnlockOf(node, /*shared=*/false, slot);
-      return result;
-    }
-  }
-
-  // Rebalances an underfull child during a pessimistic descent. On entry
-  // `parent` and `child` are held exclusively. Returns true when the
-  // structure changed — then ALL locks are released and the caller must
-  // re-traverse; false leaves parent + child held and unchanged.
-  bool RebalanceChildCoupling(Inner* parent, bool at_root, int parent_slot,
-                              NodeBase* child,
-                              int child_slot) OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-    const uint16_t idx = FindChildIndex(parent, child);
-    const bool child_is_left = idx < parent->count;
-    const uint16_t left_idx =
-        child_is_left ? idx : static_cast<uint16_t>(idx - 1);
-    const int sibling_slot = 2;
-    NodeBase* left;
-    NodeBase* right;
-    if (child_is_left) {
-      left = child;
-      right = parent->children[idx + 1];
-      LockOf(right, /*shared=*/false, sibling_slot);
-    } else {
-      left = parent->children[idx - 1];
-      right = child;
-      // Same-level locks must be taken left-to-right: scans couple
-      // rightwards along the leaf chain, so holding `child` while blocking
-      // on its left sibling can deadlock against a scan holding that
-      // sibling shared. Drop the child, lock left, relock. Safe: every
-      // writer path to `child` goes through `parent`, which we hold, so
-      // its state cannot change while unlocked.
-      UnlockOf(child, /*shared=*/false, child_slot);
-      LockOf(left, /*shared=*/false, sibling_slot);
-      LockOf(child, /*shared=*/false, child_slot);
-    }
-
-    const bool fits = IsLeaf(left)
-                          ? left->count + right->count <= kLeafMax
-                          : left->count + right->count + 1 <= kInnerMax;
-    const int right_slot = right == child ? child_slot : sibling_slot;
-    const int left_slot = left == child ? child_slot : sibling_slot;
-    if (fits && (parent->count >= 2 || at_root)) {
-      if (IsLeaf(left)) {
-        MergeLeaves(parent, left_idx, AsLeaf(left), AsLeaf(right));
-      } else {
-        MergeInners(parent, left_idx, AsInner(left), AsInner(right));
-      }
-      // Nobody can be queued on the victim: reaching it requires the
-      // parent or the left sibling, and we hold both exclusively.
-      UnlockOf(right, /*shared=*/false, right_slot);
-      RetireNode(right);
-      UnlockOf(left, /*shared=*/false, left_slot);
-      if (at_root && parent->count == 0) {
-        OPTIQL_CHECK(root_.load(std::memory_order_acquire) == parent);
-        root_.store(left, std::memory_order_release);
-        root_collapses_.fetch_add(1, std::memory_order_relaxed);
-        UnlockOf(parent, /*shared=*/false, parent_slot);
-        RetireNode(parent);
-      } else {
-        UnlockOf(parent, /*shared=*/false, parent_slot);
-      }
-      return true;
-    }
-    if (RotationHelps(left->count, right->count,
-                      IsLeaf(left) ? kLeafMin : kInnerMin)) {
-      if (IsLeaf(left)) {
-        Leaf* l = AsLeaf(left);
-        Leaf* r = AsLeaf(right);
-        while (l->count + 1 < r->count) RotateLeafLeft(parent, left_idx, l, r);
-        while (r->count + 1 < l->count) RotateLeafRight(parent, left_idx, l, r);
-      } else {
-        Inner* l = AsInner(left);
-        Inner* r = AsInner(right);
-        while (l->count + 1 < r->count) {
-          RotateInnerLeft(parent, left_idx, l, r);
-        }
-        while (r->count + 1 < l->count) {
-          RotateInnerRight(parent, left_idx, l, r);
-        }
-      }
-      rebalance_borrows_.fetch_add(1, std::memory_order_relaxed);
-      UnlockOf(right, /*shared=*/false, right_slot);
-      UnlockOf(left, /*shared=*/false, left_slot);
-      UnlockOf(parent, /*shared=*/false, parent_slot);
-      return true;
-    }
-    // No profitable move: release only the sibling and let the descent
-    // continue through the still-held parent + child.
-    UnlockOf(left == child ? right : left, /*shared=*/false, sibling_slot);
-    return false;
-  }
-
-  bool IsFull(const NodeBase* node) const {
-    return IsLeaf(node) ? node->count == kLeafMax : node->count == kInnerMax;
-  }
-
-  // Splits the (exclusively locked) root into a new root. The old root
-  // remains locked; the new root is published immediately (safe: concurrent
-  // operations re-check root identity after locking).
-  void SplitChildOfNothing(NodeBase* old_root) {
-    NodeBase* right;
-    Key separator;
-    SplitNode(old_root, &right, &separator);
-    PublishSplit(nullptr, old_root, right, separator);
-  }
-
-  // Splits `child` (both `parent` and `child` exclusively locked).
-  NodeBase* SplitChild(Inner* parent, NodeBase* child) {
-    NodeBase* right;
-    Key separator;
-    SplitNode(child, &right, &separator);
-    PublishSplit(parent, child, right, separator);
-    return right;
-  }
-
-  void SplitNode(NodeBase* node, NodeBase** right_out, Key* separator) {
-    if (IsLeaf(node)) {
-      leaf_splits_.fetch_add(1, std::memory_order_relaxed);
-      Leaf* leaf = AsLeaf(node);
-      const uint16_t mid = leaf->count / 2;
-      Leaf* right = new Leaf();
-      live_nodes_.fetch_add(1, std::memory_order_relaxed);
-      right->count = static_cast<uint16_t>(leaf->count - mid);
-      for (uint16_t i = 0; i < right->count; ++i) {
-        right->keys[i] = leaf->keys[mid + i];
-        right->values[i] = leaf->values[mid + i];
-      }
-      leaf->count = mid;
-      right->next = leaf->next;
-      leaf->next = right;
-      *separator = right->keys[0];
-      *right_out = right;
-    } else {
-      inner_splits_.fetch_add(1, std::memory_order_relaxed);
-      Inner* inner = AsInner(node);
-      const uint16_t mid = inner->count / 2;
-      Inner* right = new Inner(inner->level);
-      live_nodes_.fetch_add(1, std::memory_order_relaxed);
-      right->count = static_cast<uint16_t>(inner->count - mid - 1);
-      for (uint16_t i = 0; i < right->count; ++i) {
-        right->keys[i] = inner->keys[mid + 1 + i];
-      }
-      for (uint16_t i = 0; i <= right->count; ++i) {
-        right->children[i] = inner->children[mid + 1 + i];
-      }
-      *separator = inner->keys[mid];
-      inner->count = mid;
-      *right_out = right;
-    }
   }
 
   // --- Maintenance ---
@@ -2084,7 +1906,7 @@ class BTree {
  public:
   // --- Transaction-layer hooks (src/txn/) ---
   //
-  // Available for the optimistic protocols (the leaf lock carries the
+  // Available for versioned leaves (the leaf lock carries the
   // version word OCC validates against — the same word single-key
   // operations use, not a shadow table). The hooks assume the CCBench-style
   // transactional workload model: a fixed key population, with structural
@@ -2110,41 +1932,17 @@ class BTree {
   // leaf word commit-time validation re-checks. Must not be called while
   // the transaction holds leaf locks (it can spin on a held leaf).
   void TxnRead(const Key& key, TxnReadResult& out) const
-    requires(kProtocol != BTreeProtocol::kCoupling)
+    requires(LeafOps::kVersioned)
   {
     RestartCounter restarts(read_restarts_);
     while (true) {
       restarts.Tick();
-      NodeBase* node = root_.load(std::memory_order_acquire);
+      const LeafEdge edge = DescendToLeaf(key);
+      const Leaf* leaf = edge.leaf;
       uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      if (node != root_.load(std::memory_order_acquire)) continue;
+      if (!ReadLockOrRestart(leaf->lock, v)) continue;
+      if (!ValidateEdge(edge)) continue;
 
-      bool restart = false;
-      while (!IsLeaf(node)) {
-        const Inner* inner = AsInner(node);
-        const uint16_t n = LoadCount(inner, kInnerMax);
-        NodeBase* child = inner->children[inner->ChildIndex(key, n)];
-        PrefetchNodeHeader(child);
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        uint64_t cv;
-        if (!ReadLockNode(child, cv)) {
-          restart = true;
-          break;
-        }
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        node = child;
-        v = cv;
-      }
-      if (restart) continue;
-
-      const Leaf* leaf = AsLeaf(node);
       const uint16_t n = LoadCount(leaf, kLeafMax);
       const uint16_t pos = leaf->LowerBound(key, n);
       bool found = false;
@@ -2214,17 +2012,17 @@ class BTree {
   TxnLockStatus TxnLockForWrite(const Key& key, int slot,
                                 const HeldContains& already_held,
                                 TxnWriteGuard& guard)
-    requires(kProtocol != BTreeProtocol::kCoupling)
+    requires(LeafOps::kVersioned)
   {
     while (true) {
-      Leaf* leaf = TxnDescendToLeaf(key);
+      Leaf* leaf = DescendToLeaf(key).leaf;
       if (already_held(&leaf->lock)) {
         return BindHeldGuard(leaf, key, guard);
       }
       guard.handle_ = LeafOps::LockEx(leaf->lock, slot);
       guard.leaf_ = leaf;
       guard.owns_ = true;
-      if (LeafOps::IsObsolete(leaf->lock) || TxnDescendToLeaf(key) != leaf) {
+      if (LeafOps::IsObsolete(leaf->lock) || DescendToLeaf(key).leaf != leaf) {
         guard.Unlock(/*installed=*/false);
         continue;
       }
@@ -2246,9 +2044,9 @@ class BTree {
   TxnLockStatus TxnTryLockForWrite(const Key& key, int slot,
                                    const HeldContains& already_held,
                                    TxnWriteGuard& guard)
-    requires(kProtocol != BTreeProtocol::kCoupling)
+    requires(LeafOps::kVersioned)
   {
-    Leaf* leaf = TxnDescendToLeaf(key);
+    Leaf* leaf = DescendToLeaf(key).leaf;
     if (already_held(&leaf->lock)) {
       return BindHeldGuard(leaf, key, guard);
     }
@@ -2272,57 +2070,12 @@ class BTree {
   // transactions that lock their write sets in ascending key order acquire
   // leaf locks in a consistent global order.
   static std::pair<uint64_t, uint64_t> TxnLockRank(const Key& key)
-    requires(kProtocol != BTreeProtocol::kCoupling)
+    requires(LeafOps::kVersioned)
   {
     return {static_cast<uint64_t>(key), 0};
   }
 
  private:
-  // Descends to the leaf covering `key` WITHOUT reading the leaf's own
-  // version word — the caller may already hold that leaf exclusively, and
-  // a version read would spin on our own lock. The returned pointer is
-  // parent-validated: the last inner's separators were read under a
-  // validated version, so the leaf covered `key` at that instant.
-  Leaf* TxnDescendToLeaf(const Key& key) const
-    requires(kProtocol != BTreeProtocol::kCoupling)
-  {
-    while (true) {
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      // Root-is-leaf short-circuit before any version read (we might hold
-      // the root leaf); a stale root is caught by the caller's
-      // obsolete/coverage checks.
-      if (IsLeaf(node)) return AsLeaf(node);
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      if (node != root_.load(std::memory_order_acquire)) continue;
-
-      bool restart = false;
-      while (!restart) {
-        const Inner* inner = AsInner(node);
-        const uint16_t n = LoadCount(inner, kInnerMax);
-        NodeBase* child = inner->children[inner->ChildIndex(key, n)];
-        PrefetchNodeHeader(child);
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        // `child` is now trustworthy; its level field is immutable.
-        if (IsLeaf(child)) return AsLeaf(child);
-        uint64_t cv;
-        if (!ReadLockNode(child, cv)) {
-          restart = true;
-          break;
-        }
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        node = child;
-        v = cv;
-      }
-    }
-  }
-
   // Completes a guard over a leaf this transaction already holds: the leaf
   // is stable under our own exclusive hold, so a plain search suffices.
   TxnLockStatus BindHeldGuard(Leaf* leaf, const Key& key,

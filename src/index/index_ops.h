@@ -233,7 +233,7 @@ void IndexCheckInvariants(const Index& index) {
 // Indexes with a native batch entry point (interleaved multi-descent in the
 // B+-tree and ART, group-prefetched probes in the hash table, per-shard
 // dispatch in ShardedStore) are detected below; everything else — including
-// the pessimistic coupling variants — gets the guard + loop fallback, so all
+// the reader-writer-locked variants — gets the guard + loop fallback, so all
 // index types keep working.
 
 // Native batched point lookup (integer keys directly).

@@ -88,6 +88,8 @@ void FlushQNodeCache(void* arg) {
   for (int i = 0; i < cache.stack_size; ++i) pool.Release(cache.stack[i]);
   cache.stack_size = 0;
   cache.exit_hook_armed = false;
+  // Exit hooks run on the exiting thread, so this clears its own shortcut.
+  qnode_internal::t_direct_slots = nullptr;
 }
 
 ThreadQNodeCache& LocalQNodeCache() {
@@ -128,10 +130,11 @@ void ThreadQNodeStack::Push(QNode* node) {
   }
 }
 
-QNode* ThreadQNodes::Get(int i) {
-  OPTIQL_CHECK(i >= 0 && i < kNodesPerThread);
-  QNode*& slot = LocalQNodeCache().direct[i];
-  if (OPTIQL_UNLIKELY(slot == nullptr)) {
+QNode* ThreadQNodes::Fill(int i) {
+  ThreadQNodeCache& cache = LocalQNodeCache();
+  qnode_internal::t_direct_slots = cache.direct;
+  QNode*& slot = cache.direct[i];
+  if (slot == nullptr) {
     slot = QNodePool::Instance().Acquire();
     OPTIQL_CHECK(slot != nullptr);
   }

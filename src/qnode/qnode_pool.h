@@ -136,6 +136,12 @@ class QNodePool {
   std::vector<uint32_t> free_ids_;  // Guarded by mu_.
 };
 
+namespace qnode_internal {
+// Shortcut to this thread's slots in its registry-keyed cache
+// (qnode_pool.cc); null before the first Get and after the exit flush.
+inline thread_local QNode** t_direct_slots = nullptr;
+}  // namespace qnode_internal
+
 // Per-thread cache of queue nodes, keyed by ThreadRegistry ID. Index
 // operations hold at most three queue-based locks at a time (parent + node +
 // sibling during delete-time rebalancing; slots 0..2), and the transaction
@@ -153,8 +159,20 @@ class ThreadQNodes {
   // Returns this thread's i-th cached queue node (0 <= i < kNodesPerThread).
   // Aborts if the global pool is exhausted: that means the system was
   // oversubscribed past the lock word's ID capacity, which the paper's
-  // deployment model (threads <= hardware contexts) excludes.
-  static QNode* Get(int i);
+  // deployment model (threads <= hardware contexts) excludes. Every
+  // queue-lock acquire calls this, so the hit path (slot already filled) is
+  // inline; filling a slot from the pool is out of line.
+  static QNode* Get(int i) {
+    OPTIQL_CHECK(i >= 0 && i < kNodesPerThread);
+    QNode** slots = qnode_internal::t_direct_slots;
+    if (OPTIQL_LIKELY(slots != nullptr && slots[i] != nullptr)) {
+      return slots[i];
+    }
+    return Fill(i);
+  }
+
+ private:
+  static QNode* Fill(int i);
 };
 
 // Thread-local stack of owned queue nodes for locks whose queue nodes

@@ -25,7 +25,7 @@
 //                                         hold it (OCC self-held reads)
 //
 //   Shared mode (pessimistic reader modes: MCS-RW, shared_mutex, Hybrid)
-//     LockSh/UnlockSh(lock, slot)         blocking, coupling protocols
+//     LockSh/UnlockSh(lock, slot)         blocking (RW leaves, ART coupling)
 //     TryLockSh(lock) -> bool             no-wait, queue-less (txn reads;
 //     UnlockShNoQueue(lock)               MCS-RW and shared_mutex only)
 //     TryUpgradeSh(lock, slot, n, h)      atomically convert the caller's n
@@ -33,14 +33,15 @@
 //                                         exclusive hold (kHasShUpgrade)
 //
 // `slot` selects a thread-local queue node (ThreadQNodes) for queue-based
-// locks and is ignored by centralized ones; coupling alternates slots 0/1
-// by depth and uses slot 2 for rebalance siblings, the txn layer owns
-// slots ThreadQNodes::kTxnSlotBase and up. ExHandle is a trivially
+// locks and is ignored by centralized ones; index ops use slots 0..2
+// (lock pairs alternate 0/1, rebalance siblings take 1 or 2), the txn
+// layer owns slots ThreadQNodes::kTxnSlotBase and up. ExHandle is a trivially
 // copyable token: empty for centralized locks, the queue node for MCS
 // descendants (the CLH families' handle is the node AcquireEx *returns*,
 // which is not the one passed in — CLH queue nodes migrate). The
 // reader-writer families also keep a slot-based UnlockEx(lock, slot) for
-// the coupling trees, which release by depth slot rather than by handle.
+// the ART coupling trees, which release by depth slot rather than by
+// handle.
 //
 // Capability dispatch is by `if constexpr` on the flags:
 //   kVersioned     optimistic read surface exists; the word doubles as the
@@ -49,9 +50,9 @@
 //   kHasShUpgrade  TryUpgradeSh supported (a shared-mode family without it
 //                  cannot host 2PL read-then-write on one record)
 //   kHasNoBump     UnlockExNoBump supported
-//   kHasObsolete   UnlockExObsolete / IsObsolete supported (a lock without
-//                  it cannot guard nodes that get unlinked, e.g. B+-tree
-//                  leaves under delete-time merging)
+//   kHasObsolete   UnlockExObsolete / IsObsolete supported (without it a
+//                  reader parked on an unlinked node cannot tell; the
+//                  B+-tree's RW leaves re-validate the parent instead)
 // A family with neither read surface (TTS, Ticket, MCS, CLH) serves reads
 // by taking the exclusive lock.
 //
@@ -399,7 +400,7 @@ struct TxnOps<McsRwLock> {
   static constexpr bool kHasNoBump = false;
   static constexpr bool kHasObsolete = false;
 
-  // Slot-based blocking surface (lock-coupling protocols).
+  // Slot-based blocking surface (RW-leaf B+-trees, ART coupling).
   static void LockSh(Lock& lock, int slot) OPTIQL_ACQUIRE_SHARED(lock) {
     lock.AcquireSh(ThreadQNodes::Get(slot));
   }

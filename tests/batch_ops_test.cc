@@ -3,12 +3,13 @@
 // same ops one at a time, in batch order — including misses, duplicate
 // keys inside one batch, and every dispatch arm (B+-tree/ART lane
 // machines, hash-table group prefetch, ShardedStore partition + scatter,
-// and the generic fallback used by the coupling tree).
+// and the generic fallback used by the reader-writer leaf tree and the
+// test-only MapIndex).
 //
 // Instantiations exercising optimistic reads are named to match the TSan
-// exclusion globs (Olc / OptiQl) in tests/CMakeLists.txt; the coupling
-// instantiation deliberately is not, so the generic batched fallback stays
-// under TSan.
+// exclusion globs (Olc / OptiQl / BTree) in tests/CMakeLists.txt; the
+// MapIndex instantiation deliberately is not, so the generic batched
+// fallback stays under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +24,7 @@
 #include "index/btree.h"
 #include "index/hash_table.h"
 #include "index/index_ops.h"
+#include "map_index.h"
 #include "store/sharded_store.h"
 
 namespace optiql {
@@ -30,7 +32,7 @@ namespace {
 
 using BTreeOlcT = BTree<uint64_t, uint64_t, BTreeOlcPolicy>;
 using BTreeOptiQlT = BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL>>;
-using BTreeCouplingT = BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>>;
+using BTreeRwLeafT = BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>>;
 using ArtOlcT = ArtTree<ArtOlcPolicy>;
 using ArtOptiQlT = ArtTree<ArtOptiQlPolicy<OptiQL>>;
 using HashOlcT = HashTable<HashOlcPolicy>;
@@ -38,7 +40,7 @@ using ShardedOlcT = ShardedStore<BTreeOlcT>;
 
 using BatchCases = ::testing::Types<BTreeOlcT, BTreeOptiQlT, ArtOlcT,
                                     ArtOptiQlT, HashOlcT, ShardedOlcT,
-                                    BTreeCouplingT>;
+                                    BTreeRwLeafT, MapIndex>;
 
 struct BatchCaseNames {
   template <class T>
@@ -49,7 +51,10 @@ struct BatchCaseNames {
     if (std::is_same_v<T, ArtOptiQlT>) return "ArtOptiQl";
     if (std::is_same_v<T, HashOlcT>) return "HashTableOlc";
     if (std::is_same_v<T, ShardedOlcT>) return "ShardedBTreeOlc";
-    if (std::is_same_v<T, BTreeCouplingT>) return "BTreeCouplingMcsRw";
+    // The RW-leaf tree keeps the test id of the lock-coupling tree it
+    // replaced, so its result history stays continuous.
+    if (std::is_same_v<T, BTreeRwLeafT>) return "BTreeCouplingMcsRw";
+    if (std::is_same_v<T, MapIndex>) return "MapIndex";
     return "Unknown";
   }
 };
@@ -66,7 +71,8 @@ TYPED_TEST(BatchOpsTest, BatchCapabilityProfile) {
   if constexpr (std::is_same_v<Index, ArtOlcT> ||
                 std::is_same_v<Index, ArtOptiQlT>) {
     static_assert(HasLookupBatchIntOp<Index>);
-  } else if constexpr (std::is_same_v<Index, BTreeCouplingT>) {
+  } else if constexpr (std::is_same_v<Index, BTreeRwLeafT> ||
+                       std::is_same_v<Index, MapIndex>) {
     static_assert(!HasLookupBatchOp<Index> && !HasLookupBatchIntOp<Index>);
   } else {
     static_assert(HasLookupBatchOp<Index>);

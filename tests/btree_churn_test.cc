@@ -1,11 +1,16 @@
 // Delete-time rebalancing: node counts shrink with removals, a fully
 // drained tree collapses back to a single leaf, concurrent churn keeps the
 // node count bounded without losing keys, and unlinked nodes flow through
-// the epoch layer. Exercised across all three synchronization protocols.
+// the epoch layer. Exercised across every leaf discipline: OLC, OptiQL
+// (with and without AOR) and both reader-writer leaf locks. The last suite
+// drives left-sibling leaf merges under live shared-mode scans, the lock
+// order hazard of reader-writer leaves.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <thread>
@@ -23,13 +28,15 @@ using OlcTree = BTree<uint64_t, uint64_t, BTreeOlcPolicy>;
 using OptiQlTree = BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL>>;
 using OptiQlAorTree =
     BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL, /*kAor=*/true>>;
-using McsRwTree = BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>>;
+using McsRwTree = BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>>;
+using PthreadTree =
+    BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<SharedMutexLock>>;
 
 template <class Tree>
 class BTreeChurnTest : public ::testing::Test {};
 
-// Protocol names in test ids (BTreeChurnTest/McsRw....) so sanitizer CI
-// jobs can filter the pessimistic trees by name.
+// Leaf-lock names in test ids (BTreeChurnTest/McsRw....) so ctest output
+// is readable; McsRw and Pthread are the reader-writer leaf trees.
 struct ChurnTreeNames {
   template <class T>
   static std::string GetName(int) {
@@ -37,12 +44,13 @@ struct ChurnTreeNames {
     if (std::is_same_v<T, OptiQlTree>) return "OptiQl";
     if (std::is_same_v<T, OptiQlAorTree>) return "OptiQlAor";
     if (std::is_same_v<T, McsRwTree>) return "McsRw";
+    if (std::is_same_v<T, PthreadTree>) return "Pthread";
     return "Unknown";
   }
 };
 
-using ChurnTreeTypes =
-    ::testing::Types<OlcTree, OptiQlTree, OptiQlAorTree, McsRwTree>;
+using ChurnTreeTypes = ::testing::Types<OlcTree, OptiQlTree, OptiQlAorTree,
+                                        McsRwTree, PthreadTree>;
 TYPED_TEST_SUITE(BTreeChurnTest, ChurnTreeTypes, ChurnTreeNames);
 
 TYPED_TEST(BTreeChurnTest, RemoveShrinksNodeCount) {
@@ -239,6 +247,88 @@ TYPED_TEST(BTreeChurnTest, RetiredNodesFlowThroughEpochReclamation) {
   epochs.ReclaimAllUnsafe();
   EXPECT_GT(epochs.TotalRetired() - retired_before, 0u);
   EXPECT_EQ(epochs.RetiredCount(), 0u);
+}
+
+// --- Reader-writer leaves: left-sibling merges under shared-mode scans ---
+
+template <class Tree>
+class BTreeRwLeafScanMergeTest : public ::testing::Test {};
+
+using RwLeafTreeTypes = ::testing::Types<McsRwTree, PthreadTree>;
+TYPED_TEST_SUITE(BTreeRwLeafScanMergeTest, RwLeafTreeTypes, ChurnTreeNames);
+
+// A shared-mode scan holds a leaf while it blocks on the leaf's right
+// neighbour, and a remove that underflows the last leaf under a parent
+// rebalances it with its LEFT sibling. A rebalance that kept its leaf while
+// blocking on that sibling would deadlock against such a scan. A small tree
+// keeps every scan crossing the top leaves while removers drain and refill
+// them, so the two meet constantly; a watchdog turns a hang into a failure
+// instead of a ctest timeout.
+TYPED_TEST(BTreeRwLeafScanMergeTest, LeftSiblingMergesUnderScansDoNotDeadlock) {
+  TypeParam tree;
+  const uint64_t leaf_cap = TypeParam::LeafCapacity();
+  const uint64_t keys = 4 * leaf_cap;
+  for (uint64_t k = 0; k < keys; ++k) ASSERT_TRUE(tree.Insert(k, k));
+
+  constexpr int kScanners = 2;
+  constexpr int kRemovers = 2;
+  std::atomic<bool> stop{false};
+  std::atomic<int> finished{0};
+  std::atomic<uint64_t> bad_scans{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kScanners; ++t) {
+    threads.emplace_back([&] {
+      std::vector<std::pair<uint64_t, uint64_t>> out;
+      while (!stop.load(std::memory_order_acquire)) {
+        tree.Scan(0, keys + 16, out);
+        // Every key that is a multiple of 4 is never removed.
+        uint64_t stable_seen = 0;
+        for (size_t i = 0; i < out.size(); ++i) {
+          if (i > 0 && out[i - 1].first >= out[i].first) {
+            bad_scans.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (out[i].first % 4 == 0) ++stable_seen;
+        }
+        if (stable_seen != keys / 4) {
+          bad_scans.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      finished.fetch_add(1, std::memory_order_release);
+    });
+  }
+  for (int t = 0; t < kRemovers; ++t) {
+    threads.emplace_back([&] {
+      const uint64_t lo = keys - 2 * leaf_cap;
+      while (!stop.load(std::memory_order_acquire)) {
+        for (uint64_t k = lo; k < keys; ++k) {
+          if (k % 4 != 0) tree.Remove(k);
+        }
+        for (uint64_t k = lo; k < keys; ++k) {
+          if (k % 4 != 0) tree.Insert(k, k);
+        }
+      }
+      finished.fetch_add(1, std::memory_order_release);
+    });
+  }
+
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  stop.store(true, std::memory_order_release);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (finished.load(std::memory_order_acquire) < kScanners + kRemovers) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      // The blocked threads can never be joined; end the process.
+      std::fprintf(stderr, "deadlock: %d of %d threads still blocked\n",
+                   kScanners + kRemovers - finished.load(),
+                   kScanners + kRemovers);
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad_scans.load(), 0u);
+  EXPECT_GT(tree.GetStats().leaf_merges, 0u);
+  tree.CheckInvariants();
 }
 
 }  // namespace

@@ -21,15 +21,15 @@ using OptiQlTree = BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL>>;
 using OptiQlNorTree = BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQLNor>>;
 using OptiQlAorTree =
     BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL, /*kAor=*/true>>;
-using McsRwTree = BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>>;
+using McsRwTree = BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>>;
 using PthreadTree =
-    BTree<uint64_t, uint64_t, BTreeCouplingPolicy<SharedMutexLock>>;
+    BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<SharedMutexLock>>;
 
 template <class Tree>
 class BTreeConcurrentTest : public ::testing::Test {};
 
-// Protocol names in test ids (BTreeConcurrentTest/McsRw....) so sanitizer
-// CI jobs can filter the pessimistic trees by name.
+// Leaf-lock names in test ids (BTreeConcurrentTest/McsRw....) so ctest
+// output is readable; McsRw and Pthread are the reader-writer leaf trees.
 struct TreeNames {
   template <class T>
   static std::string GetName(int) {

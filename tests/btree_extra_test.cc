@@ -191,8 +191,8 @@ TEST(BTreeStatsTest, SplitCountersTrackStructuralChanges) {
   EXPECT_EQ(stats.read_restarts, 0u);
 }
 
-TEST(BTreeStatsTest, CouplingPolicyCountsSplitsToo) {
-  BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>> tree;
+TEST(BTreeStatsTest, RwLeafPolicyCountsSplitsToo) {
+  BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>> tree;
   for (uint64_t k = 0; k < 1000; ++k) ASSERT_TRUE(tree.Insert(k, k));
   EXPECT_GT(tree.GetStats().leaf_splits, 30u);
 }

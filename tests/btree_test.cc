@@ -21,16 +21,16 @@ using OptiQlTree = BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL>>;
 using OptiQlNorTree = BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQLNor>>;
 using OptiQlAorTree =
     BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL, /*kAor=*/true>>;
-using McsRwTree = BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>>;
+using McsRwTree = BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>>;
 using PthreadTree =
-    BTree<uint64_t, uint64_t, BTreeCouplingPolicy<SharedMutexLock>>;
+    BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<SharedMutexLock>>;
 
 template <class Tree>
 class BTreeTest : public ::testing::Test {};
 
-// Names the typed instantiations after their protocol (BTreeTest/Olc....)
-// so ctest output is readable and --gtest_filter can select protocols,
-// e.g. the TSan CI job running only the pessimistic trees.
+// Names the typed instantiations after their leaf lock (BTreeTest/Olc....)
+// so ctest output is readable and --gtest_filter can select variants.
+// McsRw and Pthread are the reader-writer leaf trees (BTreeRwLeafPolicy).
 struct TreeNames {
   template <class T>
   static std::string GetName(int) {

@@ -45,9 +45,9 @@ using BTreeOptiQlNorCase =
 using BTreeOptiQlAorCase =
     Profile<U64BTree<BTreeOptiQlPolicy<OptiQL, /*kAor=*/true>>, 1, 1, 1, 1>;
 using BTreePthreadCase =
-    Profile<U64BTree<BTreeCouplingPolicy<SharedMutexLock>>, 1, 1, 1, 1>;
+    Profile<U64BTree<BTreeRwLeafPolicy<SharedMutexLock>>, 1, 1, 1, 1>;
 using BTreeMcsRwCase =
-    Profile<U64BTree<BTreeCouplingPolicy<McsRwLock>>, 1, 1, 1, 1>;
+    Profile<U64BTree<BTreeRwLeafPolicy<McsRwLock>>, 1, 1, 1, 1>;
 // ART: point ops only (via the *Int suffix), no range/bulk/upsert/count.
 using ArtOlcCase = Profile<ArtTree<ArtOlcPolicy>, 0, 0, 0, 0>;
 using ArtOptiQlCase = Profile<ArtTree<ArtOptiQlPolicy<OptiQL>>, 0, 0, 0, 0>;

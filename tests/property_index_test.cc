@@ -83,7 +83,7 @@ TEST_P(IndexFuzzTest, BTreeOptiQlMatchesOracle) {
 }
 
 TEST_P(IndexFuzzTest, BTreeCouplingMatchesOracle) {
-  BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>> tree;
+  BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>> tree;
   RunFuzz(
       GetParam(), tree,
       [](auto& t, uint64_t k, uint64_t v) { return t.Insert(k, v); },

@@ -9,8 +9,9 @@
 //    version protocol (even steady / odd window), boundary rejection.
 //  * Reshard storms: randomized online split/merge against a full op mix,
 //    differential vs per-thread oracles — zero lost or duplicated keys.
-//    The coupling-tree storm stays under TSan; the OptiQl-named variant is
-//    excluded by the naming contract in tests/CMakeLists.txt.
+//    The storm over the test-only MapIndex stays under TSan; the
+//    OptiQl-named variant is excluded by the naming contract in
+//    tests/CMakeLists.txt.
 //  * Txn routing fence: OCC and 2PL transactions that straddle a reshard
 //    must abort at commit; post-reshard transactions commit normally.
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "index/btree.h"
+#include "map_index.h"
 #include "store/sharded_store.h"
 #include "sync/epoch.h"
 #include "txn/txn.h"
@@ -30,7 +32,6 @@ namespace {
 
 using OptiQlTree = BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL>>;
 using OlcTree = BTree<uint64_t, uint64_t, BTreeOlcPolicy>;
-using CouplingTree = BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>>;
 
 // Shard wrapper that counts Scan invocations: the probe that proves range
 // routing touches only the shards a scan's range intersects.
@@ -53,7 +54,7 @@ class ScanCountingTree {
   }
 
  private:
-  CouplingTree tree_;
+  MapIndex tree_;
   mutable std::atomic<uint64_t> scan_calls_{0};
 };
 
@@ -379,9 +380,9 @@ void ReshardStorm(int workers, int ops_per_worker, int reshard_attempts) {
   store.CheckInvariants();
 }
 
-// Coupling tree: pessimistic latches, runs under TSan (naming contract).
-TEST(RangeReshardStormTest, CouplingFullMixDifferential) {
-  ReshardStorm<CouplingTree>(4, 20000, 16);
+// Pessimistically locked map shards: runs under TSan (naming contract).
+TEST(RangeReshardStormTest, MapIndexFullMixDifferential) {
+  ReshardStorm<MapIndex>(4, 20000, 16);
 }
 
 // Same storm over the optimistic OptiQL tree (TSan-excluded by name).

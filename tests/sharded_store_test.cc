@@ -17,6 +17,7 @@
 #include "harness/index_bench.h"
 #include "index/art.h"
 #include "index/btree.h"
+#include "map_index.h"
 #include "store/sharded_store.h"
 #include "sync/epoch.h"
 #include "workload/trace_replay.h"
@@ -25,7 +26,6 @@ namespace optiql {
 namespace {
 
 using OptiQlTree = BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL>>;
-using CouplingTree = BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>>;
 
 // Router-independent behaviour: the same randomized differential runs
 // against the hash router and the range router (conformance — a routing
@@ -322,7 +322,7 @@ TEST(ShardedStoreOptiQlTest, ConcurrentChurnUnderEpochReclamation) {
 // so each replay thread drives exactly one shard.
 TEST(ShardedStoreTest, ShardAffinityAlignsWithKeyPartitioning) {
   constexpr size_t kShards = 4;
-  ShardedStore<CouplingTree> store(kShards);
+  ShardedStore<MapIndex> store(kShards);
   for (uint64_t key = 0; key < 10000; ++key) {
     EXPECT_EQ(store.ShardIndexOf(key),
               static_cast<size_t>(Mix64(key) % kShards));

@@ -10,6 +10,7 @@
 
 #include "index/art.h"
 #include "index/btree.h"
+#include "map_index.h"
 #include "workload/trace_replay.h"
 
 namespace optiql {
@@ -173,9 +174,9 @@ TEST(TraceReplayTest, MultithreadedReplayPreservesTotals) {
 // owned by exactly one thread, which walks the trace in order. A trace of
 // insert-then-updates per key therefore ends with the LAST update's value
 // for every key — a guarantee round-robin replay cannot make. Runs over
-// the pessimistic coupling tree, so (unlike the Multithreaded* suites
-// above) it stays IN the TSan run and validates the partitioning's own
-// thread handoff.
+// the pessimistically locked MapIndex, so (unlike the Multithreaded*
+// suites above) it stays IN the TSan run and validates the partitioning's
+// own thread handoff.
 TEST(TraceReplayTest, KeyPartitionPreservesPerKeyOrderConcurrent) {
   constexpr uint64_t kKeys = 400;
   constexpr uint64_t kUpdateWaves = 5;
@@ -190,7 +191,7 @@ TEST(TraceReplayTest, KeyPartitionPreservesPerKeyOrderConcurrent) {
   }
   const Trace trace(std::move(ops));
 
-  BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>> tree;
+  MapIndex tree;
   ReplayOptions options;
   options.threads = 4;
   options.partition_by_key = true;
@@ -219,7 +220,7 @@ TEST(TraceReplayTest, KeyPartitionCoversEveryOpOnceConcurrent) {
   config.remove_pct = 0;
   const Trace trace = Trace::Generate(config);
 
-  BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>> tree;
+  MapIndex tree;
   ReplayOptions options;
   options.threads = 3;  // Not a power of two: catches modulo slips.
   options.partition_by_key = true;
@@ -229,7 +230,7 @@ TEST(TraceReplayTest, KeyPartitionCoversEveryOpOnceConcurrent) {
 
   // Both partitionings agree with the single-threaded result on the
   // deterministic totals (wide keyspace: insert successes don't race).
-  BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>> serial;
+  MapIndex serial;
   const ReplayResult expect = ReplayTrace(serial, trace, /*threads=*/1);
   EXPECT_EQ(result.insert_ok, expect.insert_ok);
   EXPECT_EQ(result.lookups, expect.lookups);

@@ -1,7 +1,8 @@
 // Thread-safety-analysis conformance TU.
 //
 // This file exercises every annotated lock with *correct* protocol usage
-// and implicitly instantiates the coupling index templates, giving Clang's
+// and implicitly instantiates the reader-writer-locked index templates
+// (the RW-leaf B+-trees and the ART coupling trees), giving Clang's
 // -Wthread-safety pass (CI job `thread-safety`) concrete instantiations to
 // analyze. Templates are only analyzed at instantiation, so without this
 // TU the annotations could rot silently. Implicit instantiation is
@@ -190,9 +191,10 @@ void TxnOpsUpgradeCorrect() OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
   }
 }
 
-// --- Coupling index instantiations: calling the public ops instantiates
-// the hand-over-hand bodies, which must carry their
-// OPTIQL_NO_THREAD_SAFETY_ANALYSIS opt-outs to compile under -Werror. ---
+// --- Reader-writer index instantiations: calling the public ops
+// instantiates the shared-mode leaf steps and the hand-over-hand ART
+// bodies, which must carry their OPTIQL_NO_THREAD_SAFETY_ANALYSIS opt-outs
+// to compile under -Werror. ---
 
 // Keys arrive as parameters of the never-called entry point below so the
 // optimizer cannot const-fold the tree ops (folding literal keys trips a
@@ -220,11 +222,11 @@ void DriveArt(std::string_view key, uint64_t value) {
   tree.Remove(key);
 }
 
-void InstantiateCouplingIndexes(uint64_t key, std::string_view skey,
-                                uint64_t value) {
-  DriveBTree<BTree<uint64_t, uint64_t, BTreeCouplingPolicy<McsRwLock>>>(key,
-                                                                        value);
-  DriveBTree<BTree<uint64_t, uint64_t, BTreeCouplingPolicy<SharedMutexLock>>>(
+void InstantiateRwIndexes(uint64_t key, std::string_view skey,
+                          uint64_t value) {
+  DriveBTree<BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>>>(key,
+                                                                      value);
+  DriveBTree<BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<SharedMutexLock>>>(
       key, value);
   DriveArt<ArtCouplingTree<McsRwLock>>(skey, value);
   DriveArt<ArtCouplingTree<SharedMutexLock>>(skey, value);

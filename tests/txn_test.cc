@@ -57,7 +57,7 @@ static_assert(TxnVersionedHost<ShardedOlcHash>);
 static_assert(!TxnVersionedHost<McsRwHash>);
 static_assert(TxnSharedReadHost<McsRwHash>);
 static_assert(!TxnHostIndex<BTree<uint64_t, uint64_t,
-                                  BTreeCouplingPolicy<McsRwLock>>>);
+                                  BTreeRwLeafPolicy<McsRwLock>>>);
 
 constexpr uint64_t kKeys = 512;
 
