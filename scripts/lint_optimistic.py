@@ -33,8 +33,10 @@ them:
   R5 version-dataflow   The version variable handed to a validation
                         (ReleaseSh / Validate / TryUpgrade) must be one a
                         matching acquire (AcquireSh / ReadLockOrRestart /
-                        ReadLockNode) actually filled, or a plain copy of
-                        one (`pv = v;` descent handover). Validating a
+                        ReadLockNode, or a `ReadLock*` snapshot helper
+                        such as the B+-tree's ReadLockLeaf, which fills
+                        its last argument) actually filled, or a plain
+                        copy of one (`pv = v;` descent handover). Validating a
                         never-filled or stale word compares against
                         garbage and silently disables the protocol.
                         Compound-expression arguments are conservatively
@@ -161,8 +163,10 @@ RETIRE_CALL_RE = re.compile(r"(?<![:\w])Retire\w*\s*(<[^<>]*>)?\s*\(")
 # identifier shape and are skipped (conservative: R5 never guesses).
 VERSION_FILL_RES = (
     re.compile(r"(?:\.|->)AcquireSh\s*\(\s*&?\s*(\w+)\s*\)"),
-    re.compile(r"(?<![:\w])(?:ReadLockOrRestart|ReadLockNode)\s*"
-               r"\((?:[^()]|\([^()]*\))*?,\s*&?\s*(\w+)\s*\)"),
+    # ReadLockOrRestart / ReadLockNode and every `ReadLock*` snapshot
+    # helper (HELPER_NAME_RE) fill their last argument.
+    re.compile(r"(?<![:\w])ReadLock\w*\s*"
+               r"\((?:(?:[^()]|\([^()]*\))*?,)?\s*&?\s*(\w+)\s*\)"),
     re.compile(r"\bStableVersion\s*"
                r"\((?:[^()]|\([^()]*\))*?,\s*&?\s*(\w+)\s*\)"),
 )
@@ -518,7 +522,7 @@ def check_version_dataflow(path, func, allow, findings):
             path, line, "version-dataflow",
             "version variable '%s' passed to a validation was never "
             "filled by a matching acquire (AcquireSh/ReadLockOrRestart/"
-            "ReadLockNode) nor copied from one" % var))
+            "ReadLockNode/ReadLock* helper) nor copied from one" % var))
 
 
 def retire_spans(body):

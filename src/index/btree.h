@@ -1,19 +1,23 @@
 // Memory-optimized B+-tree in the BTreeOLC style (Leis & Wang; paper §6.1),
 // parameterized over the node size and the synchronization policy. Every
-// policy shares one descent: inner nodes carry an OptLock and are read
-// optimistically; the only axis is the leaf step.
+// policy and every operation shares one descent: inner nodes carry an
+// OptLock and are read optimistically through one validated inner step
+// (root snapshot, then pick child -> prefetch -> validate parent ->
+// snapshot child -> validate parent), which stops at the leaf's edge; the
+// only axis is the leaf step.
 //
 //   * BTreeOlcPolicy            — classic optimistic lock coupling with the
 //                                 centralized OptLock everywhere (baseline):
 //                                 writers upgrade the leaf snapshot.
 //   * BTreeOptiQlPolicy<L,AOR>  — the paper's adapted protocol (Algorithm
 //                                 4): leaves use OptiQL (or OptiQL-NOR);
-//                                 writers lock the leaf *directly* instead
-//                                 of upgrading, then validate the parent.
-//                                 With AOR the opportunistic-read window
-//                                 inherited during handover stays open
-//                                 through the in-leaf search (§6.1 last
-//                                 paragraph).
+//                                 writers take a stable leaf snapshot, then
+//                                 lock the leaf with the queue-based lock
+//                                 instead of upgrading, then validate the
+//                                 parent. With AOR the opportunistic-read
+//                                 window inherited during handover stays
+//                                 open through the in-leaf search (§6.1
+//                                 last paragraph).
 //   * BTreeRwLeafPolicy<L>      — the paper's reader-writer-lock baseline
 //                                 (MCS-RW, pthread): the same direct-leaf
 //                                 write step over an RW leaf lock, whose
@@ -52,6 +56,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -377,11 +382,13 @@ class BTree {
   }
 
  private:
-  // Test peer for the checked-invariant build: drives PublishSplit with
-  // deliberately wrong lock states (tests/invariant_death_test.cc).
+  // Test peer (tests/btree_test_peer.h): drives PublishSplit with
+  // deliberately wrong lock states, and cycles the root's lock.
   friend struct BTreeTestPeer;
 
-  // Accumulates (attempts - 1) restarts into a stats counter on scope exit.
+  // Accumulates (attempts - 1) restarts into a stats counter on scope exit:
+  // an operation ticks once per attempt, so every restart, at any level of
+  // the descent, counts once.
   class RestartCounter {
    public:
     explicit RestartCounter(std::atomic<uint64_t>& sink) : sink_(sink) {}
@@ -433,6 +440,13 @@ class BTree {
     // the count was torn by a concurrent writer.
     uint16_t LowerBound(const Key& key, uint16_t n) const {
       return simd::LowerBound(keys, n, key);
+    }
+
+    // The in-leaf probe: `pos` = LowerBound(key, n), and whether that slot
+    // holds `key` (same clamped-`n` contract).
+    bool Find(const Key& key, uint16_t n, uint16_t& pos) const {
+      pos = LowerBound(key, n);
+      return pos < n && keys[pos] == key;
     }
   };
 
@@ -572,19 +586,6 @@ class BTree {
     return true;
   }
 
-  // A reader-writer leaf has no version word to snapshot: it reports an
-  // empty one, and its caller locks the leaf instead (the direct-leaf write
-  // step, or LockLeafShared) and validates the parent edge after.
-  static bool ReadLockNode(const NodeBase* node, uint64_t& v) {
-    if constexpr (kSharedLeafReads) {
-      v = 0;
-      return IsLeaf(node) || ReadLockOrRestart(AsInner(node)->lock, v);
-    } else {
-      return IsLeaf(node) ? ReadLockOrRestart(AsLeaf(node)->lock, v)
-                          : ReadLockOrRestart(AsInner(node)->lock, v);
-    }
-  }
-
   template <class Lock>
   static bool Validate(const Lock& lock, uint64_t v) {
     return TxnOps<Lock>::ValidateVersion(lock, v);
@@ -631,96 +632,161 @@ class BTree {
     TxnOps<Lock>::UnlockExObsolete(lock, typename TxnOps<Lock>::ExHandle{});
   }
 
-  // --- Optimistic traversal ---
+  // --- One optimistic descent ---
+  //
+  // Every traversal is built from the same steps, each written once:
+  //   * ReadLockRoot, the root snapshot;
+  //   * the validated inner step, from an inner node's snapshot to the
+  //     child covering the key. Its first half, ValidateChild, picks the
+  //     child, prefetches it and validates the pick; its second half,
+  //     ReadLockInner, snapshots an inner child and re-validates the
+  //     parent so the two reads are mutually consistent. A leaf child is
+  //     not read: the step stops at the leaf's edge (LeafEdge);
+  //   * ReadLockLeaf, the leaf snapshot taken through that edge.
+  // The serial descents (DescendToLeaf, and Write, which adds eager inner
+  // splits and merges) run the two halves back to back as ReadLockChild.
+  // The batch lanes run them on separate turns, so the prefetch has every
+  // other lane's turn to land. Every restart from the root ticks the
+  // caller's RestartCounter once.
 
-  bool LookupOptimistic(const Key& key, Value& out) const {
-    RestartCounter restarts(read_restarts_);
-    while (true) {
-      restarts.Tick();
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      if (node != root_.load(std::memory_order_acquire)) continue;
+  // A leaf reached by a descent, not yet read. The edge is parent-
+  // validated: the last inner's separators were read under a validated
+  // version `pv`, so the leaf covered the key at that instant. `parent` is
+  // null for a root leaf.
+  struct LeafEdge {
+    Leaf* leaf;
+    const Inner* parent;
+    uint64_t pv;
+  };
 
-      bool restart = false;
-      while (!IsLeaf(node)) {
-        const Inner* inner = AsInner(node);
-        const uint16_t n = LoadCount(inner, kInnerMax);
-        NodeBase* child = inner->children[inner->ChildIndex(key, n)];
-        // Overlap the child's cache miss with the parent validation; the
-        // pointer may be torn, but prefetch cannot fault and the value is
-        // only dereferenced after the validation below succeeds.
-        PrefetchNodeHeader(child);
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        // `child` is now trustworthy; read its version, then re-validate
-        // the parent so the two reads are mutually consistent.
-        uint64_t cv;
-        if (!ReadLockNode(child, cv)) {
-          restart = true;
-          break;
-        }
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        node = child;
-        v = cv;
-      }
-      if (restart) continue;
+  // The root snapshot: an inner root is snapshotted into `v`, then its
+  // identity re-checked (a split or collapse may have replaced it between
+  // the pointer load and the snapshot). A root leaf is returned unread, as
+  // the edge {leaf, null}: a transaction may hold it, and a reader-writer
+  // leaf has no version to read. Null: restart.
+  NodeBase* ReadLockRoot(uint64_t& v) const {
+    NodeBase* node = root_.load(std::memory_order_acquire);
+    if (IsLeaf(node)) return node;
+    if (!ReadLockOrRestart(AsInner(node)->lock, v)) return nullptr;
+    return node == root_.load(std::memory_order_acquire) ? node : nullptr;
+  }
 
-      const Leaf* leaf = AsLeaf(node);
-      const uint16_t n = LoadCount(leaf, kLeafMax);
-      const uint16_t pos = leaf->LowerBound(key, n);
-      bool found = false;
-      Value value{};
-      if (pos < n && leaf->keys[pos] == key) {
-        found = true;
-        value = leaf->values[pos];
-      }
-      if (!Validate(leaf->lock, v)) continue;
-      if (found) out = value;
-      return found;
+  // First half of the inner step: the child of `inner` covering `key`,
+  // picked under the snapshot `v`; null once `v` no longer validates. The
+  // pointer may be torn until then, so it is only prefetched, which
+  // overlaps the child's cache miss with the validation (prefetch cannot
+  // fault). The serial descents warm the child's header; a batch lane
+  // (kWarmLeaf) warms a whole leaf so its in-leaf search hits cache.
+  template <bool kWarmLeaf = false>
+  static NodeBase* ValidateChild(const Inner* inner, uint64_t v,
+                                 const Key& key) {
+    NodeBase* child =
+        inner->children[inner->ChildIndex(key, LoadCount(inner, kInnerMax))];
+    if (kWarmLeaf && inner->level == 1) {
+      PrefetchLines<kLeafLines>(child);
+    } else {
+      PrefetchNodeHeader(child);
     }
+    return Validate(inner->lock, v) ? child : nullptr;
+  }
+
+  // Second half of the inner step, for an inner child validated by the
+  // first: snapshots it into `v`, then re-validates the parent's `pv`.
+  static bool ReadLockInner(const Inner* parent, uint64_t pv,
+                            const NodeBase* child, uint64_t& v) {
+    return ReadLockOrRestart(AsInner(child)->lock, v) &&
+           Validate(parent->lock, pv);
+  }
+
+  // The inner step for the serial descents: the child of `inner`
+  // (snapshot `v`) covering `key`. An inner child comes back snapshotted
+  // into `cv`; a leaf child comes back unread, its edge {child, inner, v}.
+  // Null: restart from the root.
+  static NodeBase* ReadLockChild(const Inner* inner, uint64_t v,
+                                 const Key& key, uint64_t& cv) {
+    NodeBase* child = ValidateChild(inner, v, key);
+    if (child == nullptr || IsLeaf(child)) return child;
+    return ReadLockInner(inner, v, child, cv) ? child : nullptr;
+  }
+
+  // Re-checks an edge after its leaf was locked or snapshotted: the parent
+  // is unchanged (or the leaf is still the root), so the leaf still covers
+  // the key it was reached by.
+  bool ValidateEdge(const LeafEdge& edge) const {
+    return edge.parent != nullptr
+               ? Validate(edge.parent->lock, edge.pv)
+               : edge.leaf == root_.load(std::memory_order_acquire);
+  }
+
+  // The leaf snapshot: the leaf's version into `v`, then the edge it was
+  // reached by re-checked, so `v` is a snapshot of the covering leaf.
+  bool ReadLockLeaf(const LeafEdge& edge, uint64_t& v) const {
+    return ReadLockOrRestart(edge.leaf->lock, v) && ValidateEdge(edge);
+  }
+
+  // Descends to the leaf covering `key` WITHOUT reading the leaf's own
+  // lock word: a transaction may already hold that leaf exclusively (a
+  // version read would spin on our own lock), and a reader-writer leaf is
+  // locked by the caller. Each restart ticks `restarts`, when given.
+  LeafEdge DescendToLeaf(const Key& key,
+                         RestartCounter* restarts = nullptr) const {
+    while (true) {
+      uint64_t v = 0;
+      NodeBase* node = ReadLockRoot(v);
+      const Inner* parent = nullptr;
+      uint64_t pv = 0;
+      while (node != nullptr && !IsLeaf(node)) {
+        parent = AsInner(node);
+        pv = v;
+        node = ReadLockChild(parent, pv, key, v);
+      }
+      if (node != nullptr) return {AsLeaf(node), parent, pv};
+      if (restarts != nullptr) restarts->Tick();
+    }
+  }
+
+  // Versioned-leaf point lookup: the record read TxnRead also serves.
+  bool LookupOptimistic(const Key& key, Value& out) const {
+    TxnReadResult record;
+    TxnRead(key, record);
+    if (record.found) out = record.value;
+    return record.found;
   }
 
   // --- Interleaved (AMAC-style) batched descent ---
   //
   // Each in-flight lookup is a small state machine (a "lane"). A lane is
-  // always in one of two states: it either computes and PREFETCHES the
-  // next child under a validated parent snapshot, or it ENTERS a child it
-  // prefetched on its previous turn by version-locking it and
-  // re-validating the parent — exactly the LookupOptimistic protocol,
-  // split at the prefetch point. The scheduler visits the lanes
-  // round-robin, so between issuing a lane's prefetch and touching that
-  // memory it advances every other lane; that turns one serial cache-miss
-  // chain per descent into `lane_count` overlapping ones. A validation
-  // failure restarts only the failing lane from the root — the rest of
-  // the group never stalls.
+  // always in one of two states: it either runs the first half of the
+  // inner step (pick, PREFETCH, validate the parent snapshot), or it
+  // ENTERS the child it prefetched on its previous turn (the second half:
+  // ReadLockInner, or ReadLockLeaf for a leaf child). The scheduler visits
+  // the lanes round-robin, so between issuing a lane's prefetch and
+  // touching that memory it advances every other lane; that turns one
+  // serial cache-miss chain per descent into `lane_count` overlapping
+  // ones. A validation failure restarts only the failing lane from the
+  // root — the rest of the group never stalls.
 
   struct BatchLane {
-    const NodeBase* node = nullptr;   // Position (validated snapshot).
-    const NodeBase* child = nullptr;  // Prefetched, not yet entered.
-    uint64_t v = 0;                   // Version snapshot of `node`.
-    size_t op = 0;                    // Index into the caller's batch.
-    bool entering = false;            // Next step: enter `child`.
+    NodeBase* node = nullptr;   // Position (validated snapshot).
+    NodeBase* child = nullptr;  // Prefetched, not yet entered.
+    uint64_t v = 0;             // Version snapshot of `node`.
+    size_t op = 0;              // Index into the caller's batch.
+    bool entering = false;      // Next step: enter `child`.
     bool active = false;
   };
 
-  // (Re)points a lane at the root with a fresh version snapshot. Named
-  // into the read-lock helper family on purpose: the open snapshot it
-  // returns with is validated by the lane's next scheduler step.
+  // (Re)points a lane at the root with a fresh snapshot, taking a root
+  // leaf's through its edge. Named into the read-lock helper family on
+  // purpose: the open snapshot it returns with is validated by the lane's
+  // next scheduler step.
   void ReadLockRootLane(BatchLane& lane) const {
     while (true) {
-      const NodeBase* node = root_.load(std::memory_order_acquire);
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      // The root may have been replaced (split / collapse) between the
-      // pointer load and the snapshot; re-check identity like
-      // LookupOptimistic does.
-      if (node != root_.load(std::memory_order_acquire)) continue;
+      uint64_t v = 0;
+      NodeBase* node = ReadLockRoot(v);
+      if (node == nullptr) continue;
+      if (IsLeaf(node) && !ReadLockLeaf({AsLeaf(node), nullptr, 0}, v)) {
+        continue;
+      }
       lane.node = node;
       lane.v = v;
       lane.entering = false;
@@ -750,12 +816,14 @@ class BTree {
       if (!lane.active) continue;
 
       if (lane.entering) {
-        // Enter the child prefetched on this lane's previous turn:
-        // snapshot its version, then re-validate the parent so the two
-        // reads are mutually consistent.
-        uint64_t cv;
-        const bool child_locked = ReadLockNode(lane.child, cv);
-        if (!child_locked || !Validate(AsInner(lane.node)->lock, lane.v)) {
+        // Second half of the step, a full round after the prefetch.
+        const Inner* parent = AsInner(lane.node);
+        uint64_t cv = 0;
+        const bool entered =
+            IsLeaf(lane.child)
+                ? ReadLockLeaf({AsLeaf(lane.child), parent, lane.v}, cv)
+                : ReadLockInner(parent, lane.v, lane.child, cv);
+        if (!entered) {
           restarts.Tick();  // ...and each lane restart adds one.
           ReadLockRootLane(lane);
           continue;
@@ -767,39 +835,23 @@ class BTree {
       }
 
       if (!IsLeaf(lane.node)) {
-        const Inner* inner = AsInner(lane.node);
-        const uint16_t cnt = LoadCount(inner, kInnerMax);
-        const NodeBase* child =
-            inner->children[inner->ChildIndex(keys[lane.op], cnt)];
-        // Issue the prefetch now; the (possibly torn) pointer is only
-        // dereferenced after the validation below succeeds — and only
-        // after every other lane has taken a turn, which is the latency
-        // the prefetch hides. A level-1 inner's children are leaves:
-        // warm the whole leaf so the key/value search hits cache.
-        if (inner->level == 1) {
-          PrefetchLines<kLeafLines>(child);
-        } else {
-          PrefetchNodeHeader(child);
-        }
-        if (!Validate(inner->lock, lane.v)) {
+        // First half: pick, prefetch, validate; enter on the next turn.
+        lane.child = ValidateChild</*kWarmLeaf=*/true>(
+            AsInner(lane.node), lane.v, keys[lane.op]);
+        if (lane.child == nullptr) {
           restarts.Tick();
           ReadLockRootLane(lane);
           continue;
         }
-        lane.child = child;
         lane.entering = true;
         continue;
       }
 
       const Leaf* leaf = AsLeaf(lane.node);
-      const uint16_t cnt = LoadCount(leaf, kLeafMax);
-      const uint16_t pos = leaf->LowerBound(keys[lane.op], cnt);
-      bool hit = false;
-      Value value{};
-      if (pos < cnt && leaf->keys[pos] == keys[lane.op]) {
-        hit = true;
-        value = leaf->values[pos];
-      }
+      uint16_t pos = 0;
+      const bool hit =
+          leaf->Find(keys[lane.op], LoadCount(leaf, kLeafMax), pos);
+      const Value value = hit ? leaf->values[pos] : Value{};
       if (!Validate(leaf->lock, lane.v)) {
         restarts.Tick();
         ReadLockRootLane(lane);
@@ -827,38 +879,12 @@ class BTree {
     while (true) {
       restarts.Tick();
       out.clear();
-      // Descend to the first candidate leaf.
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      if (node != root_.load(std::memory_order_acquire)) continue;
-
-      bool restart = false;
-      while (!IsLeaf(node)) {
-        const Inner* inner = AsInner(node);
-        const uint16_t n = LoadCount(inner, kInnerMax);
-        NodeBase* child = inner->children[inner->ChildIndex(start, n)];
-        PrefetchNodeHeader(child);  // Same unvalidated-prefetch as Lookup.
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        uint64_t cv;
-        if (!ReadLockNode(child, cv)) {
-          restart = true;
-          break;
-        }
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        node = child;
-        v = cv;
-      }
-      if (restart) continue;
+      const LeafEdge edge = DescendToLeaf(start, &restarts);
+      uint64_t v = 0;
+      if (!ReadLockLeaf(edge, v)) continue;
 
       // Walk the leaf chain, copying validated batches.
-      const Leaf* leaf = AsLeaf(node);
+      const Leaf* leaf = edge.leaf;
       bool failed = false;
       while (leaf != nullptr && out.size() < limit) {
         // Read the successor first and start pulling it in while this
@@ -904,64 +930,6 @@ class BTree {
     }
   }
 
-  // Descends to the leaf covering `key` WITHOUT reading the leaf's own
-  // lock word — a transaction may already hold that leaf exclusively (a
-  // version read would spin on our own lock), and a reader-writer leaf is
-  // locked by the caller. The edge is parent-validated: the last inner's
-  // separators were read under a validated version `pv`, so the leaf
-  // covered `key` at that instant. `parent` is null for a root leaf.
-  struct LeafEdge {
-    Leaf* leaf;
-    const Inner* parent;
-    uint64_t pv;
-  };
-
-  LeafEdge DescendToLeaf(const Key& key) const {
-    while (true) {
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      // Root-is-leaf short-circuit before any version read (we might hold
-      // the root leaf); a stale root is caught by the caller's checks.
-      if (IsLeaf(node)) return {AsLeaf(node), nullptr, 0};
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      if (node != root_.load(std::memory_order_acquire)) continue;
-
-      bool restart = false;
-      while (!restart) {
-        const Inner* inner = AsInner(node);
-        const uint16_t n = LoadCount(inner, kInnerMax);
-        NodeBase* child = inner->children[inner->ChildIndex(key, n)];
-        PrefetchNodeHeader(child);
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        // `child` is now trustworthy; its level field is immutable.
-        if (IsLeaf(child)) return {AsLeaf(child), inner, v};
-        uint64_t cv;
-        if (!ReadLockNode(child, cv)) {
-          restart = true;
-          break;
-        }
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        node = child;
-        v = cv;
-      }
-    }
-  }
-
-  // Re-checks an edge after its leaf was locked or snapshotted: the parent
-  // is unchanged (or the leaf is still the root), so the leaf still covers
-  // the key it was reached by.
-  bool ValidateEdge(const LeafEdge& edge) const {
-    return edge.parent != nullptr
-               ? Validate(edge.parent->lock, edge.pv)
-               : edge.leaf == root_.load(std::memory_order_acquire);
-  }
-
   // --- Shared-mode leaf reads (reader-writer leaf locks) ---
   //
   // Readers descend the inner nodes optimistically, lock the leaf shared
@@ -977,7 +945,7 @@ class BTree {
     RestartCounter restarts(read_restarts_);
     while (true) {
       restarts.Tick();
-      const LeafEdge edge = DescendToLeaf(key);
+      const LeafEdge edge = DescendToLeaf(key, &restarts);
       LeafOps::LockSh(edge.leaf->lock, slot);
       if (ValidateEdge(edge)) return edge.leaf;
       LeafOps::UnlockSh(edge.leaf->lock, slot);
@@ -987,8 +955,8 @@ class BTree {
   bool LookupSharedLeaf(const Key& key,
                         Value& out) const OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
     Leaf* leaf = LockLeafShared(key, /*slot=*/0);
-    const uint16_t pos = leaf->LowerBound(key, leaf->count);
-    const bool found = pos < leaf->count && leaf->keys[pos] == key;
+    uint16_t pos = 0;
+    const bool found = leaf->Find(key, leaf->count, pos);
     if (found) out = leaf->values[pos];
     LeafOps::UnlockSh(leaf->lock, /*slot=*/0);
     return found;
@@ -1022,18 +990,17 @@ class BTree {
 
   // --- Write paths ---
 
-  // One descent for every policy: optimistic with eager inner-node splits
-  // and merges (OptLock-style upgrades on inner nodes), then the policy's
-  // leaf step.
+  // One descent for every policy: the validated inner step with eager
+  // inner-node splits and merges (OptLock-style upgrades on inner nodes),
+  // which is why Write keeps its own loop, then the policy's leaf step.
   bool Write(const Key& key, const Value* value, WriteKind kind) {
     EpochGuard guard;
     RestartCounter restarts(write_restarts_);
     while (true) {
       restarts.Tick();
-      NodeBase* node = root_.load(std::memory_order_acquire);
-      uint64_t v;
-      if (!ReadLockNode(node, v)) continue;
-      if (node != root_.load(std::memory_order_acquire)) continue;
+      uint64_t v = 0;
+      NodeBase* node = ReadLockRoot(v);
+      if (node == nullptr) continue;
 
       Inner* parent = nullptr;
       uint64_t pv = 0;
@@ -1070,19 +1037,9 @@ class BTree {
           // version bump (or none was taken at all), so the snapshots stay
           // valid — keep descending.
         }
-        const uint16_t n = LoadCount(inner, kInnerMax);
-        NodeBase* child = inner->children[inner->ChildIndex(key, n)];
-        PrefetchNodeHeader(child);  // Same unvalidated-prefetch as Lookup.
-        if (!Validate(inner->lock, v)) {
-          restart = true;
-          break;
-        }
-        uint64_t cv;
-        if (!ReadLockNode(child, cv)) {
-          restart = true;
-          break;
-        }
-        if (!Validate(inner->lock, v)) {
+        uint64_t cv = 0;
+        NodeBase* child = ReadLockChild(inner, v, key, cv);
+        if (child == nullptr) {
           restart = true;
           break;
         }
@@ -1094,6 +1051,20 @@ class BTree {
       }
       if (restart) continue;
 
+      // The leaf step starts from a leaf snapshot on every versioned leaf,
+      // the direct-leaf (OptiQL) step included, although that step locks
+      // the leaf outright and never validates the snapshot. The snapshot
+      // spins while the leaf is held, so a writer queues on a leaf it has
+      // seen stable; dropping it measured slower on the e2ebench SUT (six
+      // alternating 10 s pairs, medians: hot_update throughput 0.956x and
+      // p50 1.051x, txn_transfer p99 1.086x, worse in 5 of the 6 pairs). A
+      // reader-writer leaf has no version: its step locks the leaf and
+      // validates the parent.
+      Leaf* leaf = AsLeaf(node);
+      if constexpr (LeafOps::kVersioned) {
+        if (!ReadLockLeaf({leaf, parent, pv}, v)) continue;
+      }
+
       bool result = false;
       if constexpr (kInPlaceUpdates) {
         // Latch-free point update: for an existing key, publish the value
@@ -1102,7 +1073,7 @@ class BTree {
         // locked path for misses needing insertion and lost races.
         if (kind == WriteKind::kUpdate || kind == WriteKind::kUpsert) {
           const InPlaceStatus ip =
-              LeafUpdateInPlace(AsLeaf(node), v, key, value, kind, &result);
+              LeafUpdateInPlace(leaf, v, key, value, kind, &result);
           if (ip == InPlaceStatus::kDone) return result;
           if (ip == InPlaceStatus::kRestart) continue;
           // kFallback: take the locked leaf path below.
@@ -1110,11 +1081,11 @@ class BTree {
       }
       LeafWriteStatus status;
       if constexpr (kProtocol == BTreeProtocol::kOptiQl) {
-        status = LeafWriteOptiQl(AsLeaf(node), parent, pv, parent_is_root,
-                                 key, value, kind, &result);
+        status = LeafWriteOptiQl(leaf, parent, pv, parent_is_root, key,
+                                 value, kind, &result);
       } else {
-        status = LeafWriteOlc(AsLeaf(node), v, parent, pv, parent_is_root,
-                              key, value, kind, &result);
+        status = LeafWriteOlc(leaf, v, parent, pv, parent_is_root, key,
+                              value, kind, &result);
       }
       if (status == LeafWriteStatus::kRestart) continue;
       return result;
@@ -1149,9 +1120,8 @@ class BTree {
   InPlaceStatus LeafUpdateInPlace(Leaf* leaf, uint64_t v, const Key& key,
                                   const Value* value, WriteKind kind,
                                   bool* result) {
-    const uint16_t n = LoadCount(leaf, kLeafMax);
-    const uint16_t pos = leaf->LowerBound(key, n);
-    const bool exists = pos < n && leaf->keys[pos] == key;
+    uint16_t pos = 0;
+    const bool exists = leaf->Find(key, LoadCount(leaf, kLeafMax), pos);
     if (!Validate(leaf->lock, v)) return InPlaceStatus::kRestart;
     if (!exists) {
       if (kind == WriteKind::kUpdate) {
@@ -1181,31 +1151,32 @@ class BTree {
     return kind == WriteKind::kInsert || kind == WriteKind::kUpsert;
   }
 
-  // Splits a full inner node while descending (OLC): upgrade parent (or
-  // verify we own the root), upgrade the node, split, then restart.
-  // Returns false if any lock step failed (caller restarts either way).
-  bool SplitInnerEagerly(Inner* parent, uint64_t pv, Inner* inner,
-                         uint64_t v) {
-    if (parent != nullptr) {
-      if (!TryUpgradeLock(parent->lock, pv)) return false;
-    }
-    if (!TryUpgradeLock(inner->lock, v)) {
+  // Locks a full node for its split (OLC-style, from the snapshots):
+  // upgrades the parent, or for a root verifies we still own it, then the
+  // node. False, holding nothing, when a step fails or the parent filled
+  // up since we passed it (the next descent splits it eagerly first).
+  template <class Node>
+  bool UpgradeForSplit(Inner* parent, uint64_t pv, Node* node, uint64_t v) {
+    if (parent != nullptr && !TryUpgradeLock(parent->lock, pv)) return false;
+    if (!TryUpgradeLock(node->lock, v)) {
       if (parent != nullptr) UnlockNodeEx(parent->lock);
       return false;
     }
-    if (parent == nullptr &&
-        root_.load(std::memory_order_acquire) != inner) {
-      UnlockNodeEx(inner->lock);
+    if (parent == nullptr ? root_.load(std::memory_order_acquire) != node
+                          : parent->count == kInnerMax) {
+      if (parent != nullptr) UnlockNodeEx(parent->lock);
+      UnlockNodeEx(node->lock);
       return false;
     }
-    if (parent != nullptr && parent->count == kInnerMax) {
-      // Parent filled up since we passed it; retry from the top (it will be
-      // split eagerly on the next descent).
-      UnlockNodeEx(parent->lock);
-      UnlockNodeEx(inner->lock);
-      return false;
-    }
+    return true;
+  }
 
+  // Splits a full inner node while descending: lock it for the split,
+  // split, then restart. Returns false if any lock step failed (caller
+  // restarts either way).
+  bool SplitInnerEagerly(Inner* parent, uint64_t pv, Inner* inner,
+                         uint64_t v) {
+    if (!UpgradeForSplit(parent, pv, inner, v)) return false;
     inner_splits_.fetch_add(1, std::memory_order_relaxed);
     // Move the upper half to a new right sibling; middle key moves up.
     const uint16_t mid = inner->count / 2;
@@ -1270,21 +1241,7 @@ class BTree {
                               result);
     }
     if (NeedsSplitForWrite(kind) && leaf->count == kLeafMax) {
-      if (parent != nullptr) {
-        if (!TryUpgradeLock(parent->lock, pv)) return LeafWriteStatus::kRestart;
-      }
-      if (!TryUpgradeLock(leaf->lock, v)) {
-        if (parent != nullptr) UnlockNodeEx(parent->lock);
-        return LeafWriteStatus::kRestart;
-      }
-      if (parent == nullptr &&
-          root_.load(std::memory_order_acquire) != leaf) {
-        UnlockNodeEx(leaf->lock);
-        return LeafWriteStatus::kRestart;
-      }
-      if (parent != nullptr && parent->count == kInnerMax) {
-        UnlockNodeEx(parent->lock);
-        UnlockNodeEx(leaf->lock);
+      if (!UpgradeForSplit(parent, pv, leaf, v)) {
         return LeafWriteStatus::kRestart;
       }
       *result = SplitLeafAndApply(leaf, parent, key, value, kind);
@@ -1360,10 +1317,10 @@ class BTree {
     if constexpr (kAor) {
       // AOR: opportunistic readers stay admitted through the (read-only)
       // in-leaf search; close the window only before modifying.
-      const uint16_t n = leaf->count;
-      const uint16_t pos = leaf->LowerBound(key, n);
+      uint16_t pos = 0;
+      const bool exists = leaf->Find(key, leaf->count, pos);
       leaf->lock.FinishAcquireEx(handle.node);
-      *result = ApplyToLeafAt(leaf, pos, key, value, kind);
+      *result = ApplyToLeafAt(leaf, pos, exists, key, value, kind);
     } else {
       *result = ApplyToLeaf(leaf, key, value, kind);
     }
@@ -1396,14 +1353,14 @@ class BTree {
 
   bool ApplyToLeaf(Leaf* leaf, const Key& key, const Value* value,
                    WriteKind kind) {
-    const uint16_t pos = leaf->LowerBound(key, leaf->count);
-    return ApplyToLeafAt(leaf, pos, key, value, kind);
+    uint16_t pos = 0;
+    const bool exists = leaf->Find(key, leaf->count, pos);
+    return ApplyToLeafAt(leaf, pos, exists, key, value, kind);
   }
 
-  bool ApplyToLeafAt(Leaf* leaf, uint16_t pos, const Key& key,
+  // `pos` and `exists` are the in-leaf probe's result for `key`.
+  bool ApplyToLeafAt(Leaf* leaf, uint16_t pos, bool exists, const Key& key,
                      const Value* value, WriteKind kind) {
-    const bool exists =
-        pos < leaf->count && leaf->keys[pos] == key;
     switch (kind) {
       case WriteKind::kInsert:
         if (exists) return false;
@@ -1473,6 +1430,20 @@ class BTree {
     }
     OPTIQL_CHECK(!"child vanished from an exclusively held parent");
     return 0;
+  }
+
+  // `node` and an adjacent sibling under the exclusively held `parent`, as
+  // {left, right, index of the separator between them}: the right
+  // neighbour, or the left one for the last child.
+  template <class Node>
+  static std::tuple<Node*, Node*, uint16_t> SiblingPair(Inner* parent,
+                                                        Node* node) {
+    const uint16_t idx = FindChildIndex(parent, node);
+    if (idx < parent->count) {
+      return {node, static_cast<Node*>(parent->children[idx + 1]), idx};
+    }
+    return {static_cast<Node*>(parent->children[idx - 1]), node,
+            static_cast<uint16_t>(idx - 1)};
   }
 
   // Removes separator keys[child_idx - 1] and children[child_idx].
@@ -1654,19 +1625,7 @@ class BTree {
       UnlockNodeExNoBump(parent->lock);
       return true;
     }
-    const uint16_t idx = FindChildIndex(parent, inner);
-    Inner* left;
-    Inner* right;
-    uint16_t left_idx;
-    if (idx < parent->count) {
-      left = inner;
-      right = AsInner(parent->children[idx + 1]);
-      left_idx = idx;
-    } else {
-      left = AsInner(parent->children[idx - 1]);
-      right = inner;
-      left_idx = static_cast<uint16_t>(idx - 1);
-    }
+    const auto [left, right, left_idx] = SiblingPair(parent, inner);
     Inner* sibling = left == inner ? right : left;
     // Blocking acquire is deadlock-free: every writer that locks an inner
     // node holds its parent exclusively first, and we hold the parent.
@@ -1713,19 +1672,7 @@ class BTree {
       UnlockNodeExNoBump(parent->lock);
       return LeafWriteStatus::kRestart;
     }
-    const uint16_t idx = FindChildIndex(parent, leaf);
-    Leaf* left;
-    Leaf* right;
-    uint16_t left_idx;
-    if (idx < parent->count) {
-      left = leaf;
-      right = AsLeaf(parent->children[idx + 1]);
-      left_idx = idx;
-    } else {
-      left = AsLeaf(parent->children[idx - 1]);
-      right = leaf;
-      left_idx = static_cast<uint16_t>(idx - 1);
-    }
+    const auto [left, right, left_idx] = SiblingPair(parent, leaf);
     Leaf* sibling = left == leaf ? right : left;
     LockNodeEx(sibling->lock, /*slot=*/1);
 
@@ -1788,19 +1735,7 @@ class BTree {
       LeafOps::UnlockEx(leaf->lock, handle);
       return LeafWriteStatus::kRestart;
     }
-    const uint16_t idx = FindChildIndex(parent, leaf);
-    Leaf* left;
-    Leaf* right;
-    uint16_t left_idx;
-    if (idx < parent->count) {
-      left = leaf;
-      right = AsLeaf(parent->children[idx + 1]);
-      left_idx = idx;
-    } else {
-      left = AsLeaf(parent->children[idx - 1]);
-      right = leaf;
-      left_idx = static_cast<uint16_t>(idx - 1);
-    }
+    const auto [left, right, left_idx] = SiblingPair(parent, leaf);
     Leaf* sibling = left == leaf ? right : left;
     // Deadlock-free: sibling holders either hold only that leaf (plain leaf
     // writers — they never block on the parent, they validate it) or
@@ -1937,20 +1872,14 @@ class BTree {
     RestartCounter restarts(read_restarts_);
     while (true) {
       restarts.Tick();
-      const LeafEdge edge = DescendToLeaf(key);
-      const Leaf* leaf = edge.leaf;
-      uint64_t v;
-      if (!ReadLockOrRestart(leaf->lock, v)) continue;
-      if (!ValidateEdge(edge)) continue;
+      const LeafEdge edge = DescendToLeaf(key, &restarts);
+      uint64_t v = 0;
+      if (!ReadLockLeaf(edge, v)) continue;
 
-      const uint16_t n = LoadCount(leaf, kLeafMax);
-      const uint16_t pos = leaf->LowerBound(key, n);
-      bool found = false;
-      Value value{};
-      if (pos < n && leaf->keys[pos] == key) {
-        found = true;
-        value = leaf->values[pos];
-      }
+      const Leaf* leaf = edge.leaf;
+      uint16_t pos = 0;
+      const bool found = leaf->Find(key, LoadCount(leaf, kLeafMax), pos);
+      const Value value = found ? leaf->values[pos] : Value{};
       if (!Validate(leaf->lock, v)) continue;
       out.found = found;
       out.value = value;
@@ -2026,9 +1955,8 @@ class BTree {
         guard.Unlock(/*installed=*/false);
         continue;
       }
-      const uint16_t n = LoadCount(leaf, kLeafMax);
-      const uint16_t pos = leaf->LowerBound(key, n);
-      if (pos < n && leaf->keys[pos] == key) {
+      uint16_t pos = 0;
+      if (leaf->Find(key, LoadCount(leaf, kLeafMax), pos)) {
         guard.pos_ = pos;
         return TxnLockStatus::kAcquired;
       }
@@ -2052,9 +1980,8 @@ class BTree {
     }
     uint64_t v;
     if (!LeafOps::StableVersion(leaf->lock, v)) return TxnLockStatus::kBusy;
-    const uint16_t n = LoadCount(leaf, kLeafMax);
-    const uint16_t pos = leaf->LowerBound(key, n);
-    const bool found = pos < n && leaf->keys[pos] == key;
+    uint16_t pos = 0;
+    const bool found = leaf->Find(key, LoadCount(leaf, kLeafMax), pos);
     if (!LeafOps::ValidateVersion(leaf->lock, v)) return TxnLockStatus::kBusy;
     if (!found) return TxnLockStatus::kAbsent;
     if (!LeafOps::TryUpgrade(leaf->lock, v, slot, guard.handle_)) {
@@ -2082,9 +2009,8 @@ class BTree {
                               TxnWriteGuard& guard) {
     guard.leaf_ = leaf;
     guard.owns_ = false;
-    const uint16_t n = LoadCount(leaf, kLeafMax);
-    const uint16_t pos = leaf->LowerBound(key, n);
-    if (pos < n && leaf->keys[pos] == key) {
+    uint16_t pos = 0;
+    if (leaf->Find(key, LoadCount(leaf, kLeafMax), pos)) {
       guard.pos_ = pos;
       return TxnLockStatus::kAcquired;
     }

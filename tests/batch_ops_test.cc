@@ -53,7 +53,7 @@ struct BatchCaseNames {
     if (std::is_same_v<T, ShardedOlcT>) return "ShardedBTreeOlc";
     // The RW-leaf tree keeps the test id of the lock-coupling tree it
     // replaced, so its result history stays continuous.
-    if (std::is_same_v<T, BTreeRwLeafT>) return "BTreeCouplingMcsRw";
+    if (std::is_same_v<T, BTreeRwLeafT>) return "BTreeRwLeafMcsRw";
     if (std::is_same_v<T, MapIndex>) return "MapIndex";
     return "Unknown";
   }

@@ -1,13 +1,16 @@
 // Additional B+-tree coverage: AOR-specific behaviour, alternative
 // key/value types, boundary geometries, long scans across many leaves,
-// upsert sweeps, and concurrent AOR readers-vs-writers consistency.
+// upsert sweeps, concurrent AOR readers-vs-writers consistency, and
+// restart accounting across every level of the descent.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "btree_test_peer.h"
 #include "common/random.h"
 #include "index/btree.h"
 
@@ -255,6 +258,64 @@ TEST(BTreeHeightTest, RootLeafThenGrowth) {
   ASSERT_TRUE(tree.Insert(14, 14));  // Root leaf splits.
   EXPECT_EQ(tree.Height(), 2);
   tree.CheckInvariants();
+}
+
+// A reader that restarts at an inner level counts the restart, not only
+// one at the leaf. With height >= 3 the root is not the leaf's parent, so
+// cycling the root's lock only ever fails inner-level validations: the
+// reads below must report read restarts within the deadline.
+template <class Tree, class Read>
+uint64_t ReadRestartsUnderRootLockCycling(Tree& tree, uint64_t keys,
+                                          Read read) {
+  tree.ResetStats();
+  std::atomic<bool> stop{false};
+  std::thread locker([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      BTreeTestPeer::CycleRootLock(tree);
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  for (uint64_t k = 0; tree.GetStats().read_restarts == 0 &&
+                       std::chrono::steady_clock::now() < deadline;
+       k = (k + 1) % keys) {
+    EXPECT_TRUE(read(k));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  locker.join();
+  return tree.GetStats().read_restarts;
+}
+
+TEST(BTreeRestartTest, TxnReadCountsInnerLevelRestarts) {
+  using Tree = BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL>>;
+  constexpr uint64_t kKeys = 4096;
+  Tree tree;
+  for (uint64_t k = 0; k < kKeys; ++k) ASSERT_TRUE(tree.Insert(k, k));
+  ASSERT_GE(tree.Height(), 3);
+  EXPECT_GT(ReadRestartsUnderRootLockCycling(tree, kKeys,
+                                             [&](uint64_t k) {
+                                               EpochGuard guard;
+                                               Tree::TxnReadResult r;
+                                               tree.TxnRead(k, r);
+                                               return r.found &&
+                                                      r.value == k;
+                                             }),
+            0u);
+}
+
+TEST(BTreeRestartTest, RwLeafLookupCountsInnerLevelRestarts) {
+  using Tree = BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>>;
+  constexpr uint64_t kKeys = 4096;
+  Tree tree;
+  for (uint64_t k = 0; k < kKeys; ++k) ASSERT_TRUE(tree.Insert(k, k));
+  ASSERT_GE(tree.Height(), 3);
+  EXPECT_GT(ReadRestartsUnderRootLockCycling(tree, kKeys,
+                                             [&](uint64_t k) {
+                                               uint64_t out = 0;
+                                               return tree.Lookup(k, out) &&
+                                                      out == k;
+                                             }),
+            0u);
 }
 
 }  // namespace

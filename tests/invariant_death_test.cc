@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "btree_test_peer.h"
 #include "core/opticlh.h"
 #include "core/optiql.h"
 #include "gtest/gtest.h"
@@ -28,30 +29,6 @@
 #include "txn/txn.h"
 
 namespace optiql {
-
-// Friended by BTree (outside the anonymous namespace so the friend
-// declaration matches): drives PublishSplit with deliberately wrong lock
-// states to prove the SMO-ordering invariants fire. Only ever called
-// inside EXPECT_DEATH children, so the bogus split never lands in a tree
-// another test can see.
-struct BTreeTestPeer {
-  template <class Tree>
-  static void PublishSplitWithUnlockedParent(Tree& tree) {
-    auto* parent = Tree::AsInner(tree.root_.load(std::memory_order_acquire));
-    typename Tree::NodeBase* left = parent->children[0];
-    auto* right = new typename Tree::Leaf();
-    tree.PublishSplit(parent, left, right, /*separator=*/0);
-  }
-
-  template <class Tree>
-  static void PublishSplitWithUnlockedLeft(Tree& tree) {
-    auto* parent = Tree::AsInner(tree.root_.load(std::memory_order_acquire));
-    parent->lock.AcquireEx();  // Parent held, left half deliberately not.
-    typename Tree::NodeBase* left = parent->children[0];
-    auto* right = new typename Tree::Leaf();
-    tree.PublishSplit(parent, left, right, /*separator=*/0);
-  }
-};
 
 namespace {
 

@@ -1,7 +1,7 @@
 // Known-good fixture: every legitimate way a version word travels from
 // its acquire to its validation under a different name. R5 must accept
-// all of these — copies, the btree descent handover, version parameters
-// filled by the caller's acquire — with zero findings.
+// all of these — copies, the btree descent handover, snapshot helpers,
+// version parameters filled by the caller's acquire — with zero findings.
 #ifndef OPTIQL_TESTS_LINT_FIXTURES_GOOD_VERSION_HANDOVER_H_
 #define OPTIQL_TESTS_LINT_FIXTURES_GOOD_VERSION_HANDOVER_H_
 
@@ -43,6 +43,15 @@ inline bool DescendHandover(Node& root, uint64_t* out) {
 inline bool FinishRead(Node& node, uint64_t version, uint64_t* out) {
   *out = node.value;
   return node.lock.ReleaseSh(version);
+}
+
+// Snapshot helper: a `ReadLock*` helper (the B+-tree's ReadLockLeaf,
+// snapshot plus edge check) fills its last argument like the primitive.
+inline bool ReadThroughSnapshotHelper(const Edge& edge, uint64_t* out) {
+  uint64_t v;
+  if (!ReadLockLeaf(edge, v)) return false;
+  *out = edge.leaf->value;
+  return Validate(edge.leaf->lock, v);
 }
 
 // Upgrade consuming a copied snapshot, with a queue-node second argument

@@ -82,7 +82,7 @@ TEST_P(IndexFuzzTest, BTreeOptiQlMatchesOracle) {
       [](auto& t, uint64_t k, uint64_t v) { return t.Update(k, v); });
 }
 
-TEST_P(IndexFuzzTest, BTreeCouplingMatchesOracle) {
+TEST_P(IndexFuzzTest, BTreeRwLeafMatchesOracle) {
   BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>> tree;
   RunFuzz(
       GetParam(), tree,
