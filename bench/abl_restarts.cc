@@ -15,15 +15,14 @@ namespace {
 
 template <class Tree>
 void RunRow(const BenchFlags& flags, const char* name,
-            IndexWorkload::Distribution dist, int lookup_pct, int update_pct,
+            const KeyDist& dist, int lookup_pct, int update_pct,
             TablePrinter& table) {
   auto tree = std::make_unique<Tree>();
   IndexWorkload workload;
   workload.records = flags.records;
   workload.lookup_pct = lookup_pct;
   workload.update_pct = update_pct;
-  workload.distribution = dist;
-  workload.skew = 0.2;
+  workload.dist = dist;
   workload.duration_ms = flags.duration_ms;
   PreloadIndex(*tree, workload);
 
@@ -46,8 +45,8 @@ void RunRow(const BenchFlags& flags, const char* name,
   table.AddRow(std::move(row));
 }
 
-void RunCase(const BenchFlags& flags, IndexWorkload::Distribution dist,
-             int lookup_pct, int update_pct, const char* title) {
+void RunCase(const BenchFlags& flags, const KeyDist& dist, int lookup_pct,
+             int update_pct, const char* title) {
   std::printf("-- %s (%d%% lookup / %d%% update) --\n", title, lookup_pct,
               update_pct);
   std::vector<std::string> header = {
@@ -77,11 +76,10 @@ int main(int argc, char** argv) {
               "mechanism behind paper Figs. 1/9 — OLC abort-and-retry vs "
               "OptiQL's queue-on-leaf vs latch-free in-place updates",
               flags);
-  RunCase(flags, IndexWorkload::Distribution::kUniform, 20, 80,
-          "Low contention: uniform");
-  RunCase(flags, IndexWorkload::Distribution::kSelfSimilar, 20, 80,
+  RunCase(flags, KeyDist::Uniform(), 20, 80, "Low contention: uniform");
+  RunCase(flags, KeyDist::SelfSimilar(0.2), 20, 80,
           "High contention: self-similar 0.2");
-  RunCase(flags, IndexWorkload::Distribution::kSelfSimilar, 90, 10,
+  RunCase(flags, KeyDist::SelfSimilar(0.2), 90, 10,
           "Read-mostly hot set: self-similar 0.2");
   return 0;
 }

@@ -1,13 +1,15 @@
 // Shared helpers for the per-figure benchmark binaries: flag parsing,
-// banner printing, key-distribution selection, the YCSB core mix tables,
-// and machine-readable result emission. Every binary accepts:
+// banner printing, the YCSB core mix tables, and machine-readable result
+// emission. Every binary accepts:
 //   --threads=a,b,c     thread counts to sweep (default: env/auto)
 //   --duration=MS       per-data-point duration (default: env or 150 ms)
 //   --records=N         index preload size (default: env or 100000)
 //   --dist=SPEC         key-access distribution: uniform | zipf[:theta]
-//                       | selfsimilar[:skew] (default: per-binary)
+//                       | selfsimilar[:skew] (KeyDist, default: per-binary;
+//                       read by the index sweeps, ext_ycsb and ext_txn)
 //   --batch=N           issue point reads as batches of N through the
-//                       batched op surface (default 1 = single ops)
+//                       batched op surface (default 1 = single ops; read
+//                       by ext_ycsb only, the index sweeps reject N > 1)
 //   --full              paper-scale parameters (slower)
 //   --json[=PATH]       also emit results as a JSON array (benches that
 //                       support it write BENCH_<name>.json by default)
@@ -21,7 +23,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -31,81 +32,6 @@
 #include "workload/distributions.h"
 
 namespace optiql {
-
-// A parsed key-access distribution choice — one spelling shared by every
-// bench binary (ext_ycsb, ext_txn, the index sweeps) instead of each
-// growing its own enum + parser.
-struct KeyDist {
-  enum class Kind { kUniform, kZipfian, kSelfSimilar };
-  Kind kind = Kind::kUniform;
-  double skew = 0.0;  // Zipf theta / self-similar h; unused for uniform.
-
-  static KeyDist Uniform() { return {Kind::kUniform, 0.0}; }
-  static KeyDist Zipfian(double theta) { return {Kind::kZipfian, theta}; }
-  static KeyDist SelfSimilar(double h) { return {Kind::kSelfSimilar, h}; }
-
-  // "uniform" | "zipf" | "zipf:0.7" | "selfsimilar" | "selfsimilar:0.3".
-  static bool Parse(const std::string& spec, KeyDist& out) {
-    const size_t colon = spec.find(':');
-    const std::string name = spec.substr(0, colon);
-    const bool has_param = colon != std::string::npos;
-    const double param =
-        has_param ? std::strtod(spec.c_str() + colon + 1, nullptr) : 0.0;
-    if (name == "uniform") {
-      if (has_param) return false;
-      out = Uniform();
-    } else if (name == "zipf" || name == "zipfian") {
-      out = Zipfian(has_param ? param : 0.99);
-      if (out.skew <= 0.0 || out.skew >= 1.0) return false;
-    } else if (name == "selfsimilar") {
-      out = SelfSimilar(has_param ? param : 0.2);
-      if (out.skew <= 0.0 || out.skew >= 0.5) return false;
-    } else {
-      return false;
-    }
-    return true;
-  }
-
-  std::string Name() const {
-    char buf[32];
-    switch (kind) {
-      case Kind::kUniform:
-        return "uniform";
-      case Kind::kZipfian:
-        std::snprintf(buf, sizeof(buf), "zipf:%.2f", skew);
-        return buf;
-      case Kind::kSelfSimilar:
-        std::snprintf(buf, sizeof(buf), "selfsimilar:%.2f", skew);
-        return buf;
-    }
-    return "?";
-  }
-};
-
-// Materializes the sampler a KeyDist names over [0, records). Constructed
-// once per run (the Zipf constructor sums a harmonic series over n) and
-// shared read-only by the worker threads.
-class KeySampler {
- public:
-  KeySampler(const KeyDist& dist, uint64_t records) : uniform_(records) {
-    if (dist.kind == KeyDist::Kind::kZipfian) {
-      zipf_.emplace(records, dist.skew);
-    } else if (dist.kind == KeyDist::Kind::kSelfSimilar) {
-      selfsim_.emplace(records, dist.skew);
-    }
-  }
-
-  uint64_t Next(Xoshiro256& rng) const {
-    if (zipf_) return zipf_->Next(rng);
-    if (selfsim_) return selfsim_->Next(rng);
-    return uniform_.Next(rng);
-  }
-
- private:
-  UniformDistribution uniform_;
-  std::optional<ZipfianDistribution> zipf_;
-  std::optional<SelfSimilarDistribution> selfsim_;
-};
 
 // --- YCSB core mixes -------------------------------------------------------
 // The industry-standard op-mix tables (Cooper et al., SoCC '10), shared by

@@ -179,8 +179,7 @@ void IndexMix(const BenchFlags& flags, int lookup_pct, int update_pct,
   workload.records = flags.records;
   workload.lookup_pct = lookup_pct;
   workload.update_pct = update_pct;
-  workload.distribution = IndexWorkload::Distribution::kSelfSimilar;
-  workload.skew = 0.2;
+  workload.dist = KeyDist::SelfSimilar(0.2);
   workload.duration_ms = flags.duration_ms;
 
   // Preload every tree up front; the mixes are lookup/update-only, so the

@@ -4,48 +4,29 @@
 // between centralized and queue-based bucket locks is maximally visible on
 // skewed (hot-bucket) workloads.
 #include "bench_common.h"
-#include "harness/bench_runner.h"
+#include "harness/index_bench.h"
 #include "harness/table_printer.h"
 #include "index/hash_table.h"
-#include "workload/distributions.h"
 
 namespace optiql {
 namespace {
 
 template <class Table>
-RunResult RunHashBench(const BenchFlags& flags, Table& table,
-                       uint64_t records, int lookup_pct, int threads) {
-  RunOptions options;
-  options.threads = threads;
-  options.duration_ms = flags.duration_ms;
-  const SelfSimilarDistribution dist(records, 0.2);
-  return RunFixedDuration(
-      options, [&](int tid, const std::atomic<bool>& stop,
-                   WorkerStats& stats) {
-        Xoshiro256 rng(0x4a5bULL * 131 + static_cast<uint64_t>(tid));
-        while (!stop.load(std::memory_order_acquire)) {
-          const uint64_t key = dist.Next(rng);
-          if (rng.NextBounded(100) < static_cast<uint64_t>(lookup_pct)) {
-            uint64_t out = 0;
-            table.Lookup(key, out);
-          } else {
-            table.Update(key, rng.Next());
-          }
-          ++stats.ops;
-        }
-      });
-}
-
-template <class Table>
 void RunRow(const BenchFlags& flags, const char* name, int lookup_pct,
             size_t buckets, TablePrinter& out) {
   Table table(buckets);
-  for (uint64_t k = 0; k < flags.records; ++k) table.Insert(k, k);
+  IndexWorkload workload;
+  workload.records = flags.records;
+  workload.lookup_pct = lookup_pct;
+  workload.update_pct = 100 - lookup_pct;
+  workload.dist = KeyDist::SelfSimilar(0.2);
+  workload.duration_ms = flags.duration_ms;
+  PreloadIndex(table, workload);
   std::vector<std::string> row = {name};
   for (int threads : flags.threads) {
-    row.push_back(TablePrinter::Fmt(
-        RunHashBench(flags, table, flags.records, lookup_pct, threads)
-            .MopsPerSec()));
+    workload.threads = threads;
+    row.push_back(
+        TablePrinter::Fmt(RunIndexBench(table, workload).MopsPerSec()));
   }
   out.AddRow(std::move(row));
 }

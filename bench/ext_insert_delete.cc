@@ -34,8 +34,7 @@ void RunRow(const BenchFlags& flags, const char* name, const ChurnMix& mix,
     workload.insert_pct = mix.insert_pct;
     workload.remove_pct = mix.remove_pct;
     workload.update_pct = 0;
-    workload.distribution = IndexWorkload::Distribution::kSelfSimilar;
-    workload.skew = 0.2;
+    workload.dist = KeyDist::SelfSimilar(0.2);
     workload.threads = threads;
     workload.duration_ms = flags.duration_ms;
     PreloadIndex(*tree, workload);

@@ -22,13 +22,12 @@ constexpr size_t kShardCounts[] = {1, 4, 16};
 
 struct SkewPoint {
   const char* name;
-  IndexWorkload::Distribution distribution;
-  double skew;
+  KeyDist dist;
 };
 
-constexpr SkewPoint kSkewPoints[] = {
-    {"uniform", IndexWorkload::Distribution::kUniform, 0.0},
-    {"selfsim-0.2", IndexWorkload::Distribution::kSelfSimilar, 0.2},
+const SkewPoint kSkewPoints[] = {
+    {"uniform", KeyDist::Uniform()},
+    {"selfsim-0.2", KeyDist::SelfSimilar(0.2)},
 };
 
 template <class Tree>
@@ -46,8 +45,7 @@ void RunLock(const BenchFlags& flags, const char* lock_name,
       workload.records = flags.records;
       workload.lookup_pct = 0;
       workload.update_pct = 100;
-      workload.distribution = skew.distribution;
-      workload.skew = skew.skew;
+      workload.dist = skew.dist;
       workload.key_space = KeySpace::kDense;
       workload.duration_ms = flags.duration_ms;
       PreloadIndex(store, workload);

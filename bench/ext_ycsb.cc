@@ -2,8 +2,9 @@
 // The paper evaluates PiBench-style fixed mixes; YCSB adds the
 // industry-standard mixes including scans (E) and read-modify-write (F),
 // with Zipfian and latest-biased request distributions. Everything shared
-// comes from bench_common.h (mix tables, --dist parsing, KeySampler) and
-// the uniform index surface (PreloadIndex + IndexLookup/... dispatch);
+// comes from bench_common.h (mix tables, --dist parsing), the workload
+// layer's KeySampler and the uniform index surface (PreloadIndex +
+// IndexLookup/... dispatch);
 // --batch=N adds rows that issue the read arm through IndexLookupBatch,
 // so YCSB-C doubles as a demo of the batched read path.
 #include <memory>

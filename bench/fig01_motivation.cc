@@ -9,12 +9,11 @@ namespace optiql {
 namespace {
 
 template <class Tree>
-void RunRow(const BenchFlags& flags, IndexWorkload::Distribution dist,
-            const char* name, TablePrinter& table) {
+void RunRow(const BenchFlags& flags, const KeyDist& dist, const char* name,
+            TablePrinter& table) {
   IndexWorkload base;
   base.records = flags.records;
-  base.distribution = dist;
-  base.skew = 0.2;
+  base.dist = dist;
   std::vector<std::string> row = {name};
   row.resize(1 + flags.threads.size());
   SweepIndex<Tree>(flags, base, {{"Update-only", 0, 100}},
@@ -24,7 +23,7 @@ void RunRow(const BenchFlags& flags, IndexWorkload::Distribution dist,
   table.AddRow(std::move(row));
 }
 
-void RunCase(const BenchFlags& flags, IndexWorkload::Distribution dist,
+void RunCase(const BenchFlags& flags, const KeyDist& dist,
              const char* title) {
   std::printf("-- %s --\n", title);
   std::vector<std::string> header = {"lock \\ threads (Mops/s)"};
@@ -45,9 +44,8 @@ int main(int argc, char** argv) {
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
   PrintBanner("Figure 1: B+-tree update throughput, OptLock vs OptiQL",
               "paper Fig. 1 (§1, 100% updates, dense 8-byte keys)", flags);
-  RunCase(flags, IndexWorkload::Distribution::kUniform,
-          "(a) Low contention: uniform keys");
-  RunCase(flags, IndexWorkload::Distribution::kSelfSimilar,
+  RunCase(flags, KeyDist::Uniform(), "(a) Low contention: uniform keys");
+  RunCase(flags, KeyDist::SelfSimilar(0.2),
           "(b) High contention: self-similar, skew 0.2");
   return 0;
 }

@@ -21,8 +21,7 @@ template <class Tree>
 void RunTree(const BenchFlags& flags, const char* lock_name, Sheet& sheet) {
   IndexWorkload base;
   base.records = flags.records;
-  base.distribution = IndexWorkload::Distribution::kSelfSimilar;
-  base.skew = 0.2;
+  base.dist = KeyDist::SelfSimilar(0.2);
   base.key_space = KeySpace::kDense;
 
   const size_t lock_idx = sheet.lock_names.size();

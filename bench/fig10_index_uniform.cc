@@ -10,7 +10,7 @@ template <class Tree>
 void RunRow(const BenchFlags& flags, const char* name, TablePrinter& table) {
   IndexWorkload base;
   base.records = flags.records;
-  base.distribution = IndexWorkload::Distribution::kUniform;
+  base.dist = KeyDist::Uniform();
   std::vector<std::string> row = {name};
   row.resize(1 + flags.threads.size());
   SweepIndex<Tree>(flags, base, {{"Balanced", 50, 50}},

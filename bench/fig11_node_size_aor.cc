@@ -19,8 +19,7 @@ void RunCell(const BenchFlags& flags, size_t lock_idx, size_t size_idx,
              ResultGrid& grid) {
   IndexWorkload base;
   base.records = flags.records;
-  base.distribution = IndexWorkload::Distribution::kSelfSimilar;
-  base.skew = 0.2;
+  base.dist = KeyDist::SelfSimilar(0.2);
   BenchFlags one = flags;
   one.threads = {flags.MaxThreads()};  // Fixed thread count (paper: 40).
   SweepIndex<Tree>(one, base, kMixes,

@@ -20,8 +20,7 @@ void RunRows(const BenchFlags& flags, const char* lock_name, int threads,
              std::vector<std::vector<std::string>>& rows_per_mix) {
   IndexWorkload base;
   base.records = flags.records;
-  base.distribution = IndexWorkload::Distribution::kSelfSimilar;
-  base.skew = 0.2;
+  base.dist = KeyDist::SelfSimilar(0.2);
   base.latency_sampling = 8;  // Sample 1/8 operations.
   BenchFlags one = flags;
   one.threads = {threads};

@@ -17,8 +17,7 @@ void RunRow(const BenchFlags& flags, const char* name, size_t mix,
             TablePrinter& table, std::string* diag) {
   IndexWorkload base;
   base.records = flags.records;
-  base.distribution = IndexWorkload::Distribution::kSelfSimilar;
-  base.skew = 0.2;
+  base.dist = KeyDist::SelfSimilar(0.2);
   base.key_space = KeySpace::kSparse;
 
   auto tree = std::make_unique<Tree>();

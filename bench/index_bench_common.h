@@ -81,39 +81,24 @@ SteadyStateReport RunChurnWindows(Tree& tree, const IndexWorkload& workload) {
   return report;
 }
 
-// Maps a parsed --dist onto the index harness's sampler. The harness
-// draws uniform or self-similar keys (the paper's evaluation); Zipfian
-// requests are not supported there — benches that need them sample
-// through KeySampler directly (ext_ycsb, ext_txn).
-inline bool ApplyKeyDist(const KeyDist& dist, IndexWorkload& workload) {
-  switch (dist.kind) {
-    case KeyDist::Kind::kUniform:
-      workload.distribution = IndexWorkload::Distribution::kUniform;
-      return true;
-    case KeyDist::Kind::kSelfSimilar:
-      workload.distribution = IndexWorkload::Distribution::kSelfSimilar;
-      workload.skew = dist.skew;
-      return true;
-    case KeyDist::Kind::kZipfian:
-      return false;
-  }
-  return false;
-}
-
 // Builds a tree, preloads it, then reports Mops/s for every (mix, threads)
 // combination through `emit(mix_index, threads_index, result)`.
-// An explicit --dist overrides the workload's baked-in distribution.
+// An explicit --dist overrides the workload's baked-in distribution. The
+// sweeps run single ops only; batched index rows come from ext_batch and
+// ext_ycsb --batch.
 template <class Tree, class Emit>
 void SweepIndex(const BenchFlags& flags, const IndexWorkload& base,
                 const std::vector<OpMix>& mixes, const Emit& emit) {
+  if (flags.batch > 1) {
+    std::fprintf(stderr,
+                 "index sweeps run single ops; --batch is read by ext_ycsb "
+                 "(batched index rows: ext_batch)\n");
+    std::exit(2);
+  }
   auto tree = std::make_unique<Tree>();
   IndexWorkload workload = base;
   workload.duration_ms = flags.duration_ms;
-  if (flags.dist_given && !ApplyKeyDist(flags.dist, workload)) {
-    std::fprintf(stderr,
-                 "index sweeps support --dist=uniform|selfsimilar[:h]\n");
-    std::exit(2);
-  }
+  if (flags.dist_given) workload.dist = flags.dist;
   PreloadIndex(*tree, workload);
   for (size_t m = 0; m < mixes.size(); ++m) {
     workload.lookup_pct = mixes[m].lookup_pct;

@@ -27,8 +27,7 @@ RunResult HotLeafUpdates(int threads) {
   workload.update_pct = 100;
   // Self-similar 0.2 over a dense keyspace: the head keys live in a
   // handful of leaves whose locks become the bottleneck.
-  workload.distribution = IndexWorkload::Distribution::kSelfSimilar;
-  workload.skew = 0.2;
+  workload.dist = optiql::KeyDist::SelfSimilar(0.2);
   workload.threads = threads;
   workload.duration_ms = 500;
   PreloadIndex(tree, workload);

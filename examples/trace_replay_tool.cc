@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   config.insert_pct = 20;
   config.update_pct = 15;
   config.remove_pct = 5;  // Remaining 5%: scans.
-  config.skew = 0.2;      // 80/20 hotspots.
+  config.dist = optiql::KeyDist::SelfSimilar(0.2);  // 80/20 hotspots.
 
   std::printf("[1] Generating skewed trace (self-similar 0.2)...\n");
   const Trace trace = Trace::Generate(config);

@@ -4,7 +4,6 @@
 #include <sched.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -111,40 +110,6 @@ RunResult RunFixedDuration(const RunOptions& options, const WorkerFn& worker) {
   const auto end = std::chrono::steady_clock::now();
 
   result.seconds = std::chrono::duration<double>(end - start).count();
-  return result;
-}
-
-double RepeatedResult::Mean() const {
-  if (mops.empty()) return 0;
-  double sum = 0;
-  for (double m : mops) sum += m;
-  return sum / static_cast<double>(mops.size());
-}
-
-double RepeatedResult::StdDev() const {
-  if (mops.size() < 2) return 0;
-  const double mean = Mean();
-  double sq = 0;
-  for (double m : mops) sq += (m - mean) * (m - mean);
-  return std::sqrt(sq / static_cast<double>(mops.size() - 1));
-}
-
-double RepeatedResult::Ci95() const {
-  if (mops.size() < 2) return 0;
-  return 1.96 * StdDev() / std::sqrt(static_cast<double>(mops.size()));
-}
-
-RepeatedResult RunRepeated(const RunOptions& options, const WorkerFn& worker,
-                           int repeats) {
-  if (repeats <= 0) {
-    repeats = static_cast<int>(EnvInt("OPTIQL_BENCH_REPEATS", 1));
-    if (repeats <= 0) repeats = 1;
-  }
-  RepeatedResult result;
-  result.mops.reserve(static_cast<size_t>(repeats));
-  for (int i = 0; i < repeats; ++i) {
-    result.mops.push_back(RunFixedDuration(options, worker).MopsPerSec());
-  }
   return result;
 }
 

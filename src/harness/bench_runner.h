@@ -61,22 +61,6 @@ using WorkerFn =
 
 RunResult RunFixedDuration(const RunOptions& options, const WorkerFn& worker);
 
-// Repeated-run aggregation (paper §7.1 reports averages of 20 runs with
-// 95% confidence intervals).
-struct RepeatedResult {
-  std::vector<double> mops;  // Per-run throughput.
-
-  double Mean() const;
-  double StdDev() const;
-  // Half-width of the 95% confidence interval (normal approximation).
-  double Ci95() const;
-};
-
-// Runs the worker `repeats` times and aggregates throughput. `repeats`
-// defaults to OPTIQL_BENCH_REPEATS (or 1).
-RepeatedResult RunRepeated(const RunOptions& options, const WorkerFn& worker,
-                           int repeats = 0);
-
 // Reads an environment-variable integer, or `fallback` if unset/invalid.
 int64_t EnvInt(const char* name, int64_t fallback);
 

@@ -1,7 +1,8 @@
 // PiBench-style index benchmark framework (§7.1, §7.3): preload an index
 // with N records of 8-byte keys/values, then run a fixed-duration mix of
 // lookups/updates/inserts/removes with a configurable key distribution
-// (uniform or self-similar) over a dense or sparse key space.
+// (uniform, self-similar or Zipfian; see KeyDist) over a dense or sparse
+// key space.
 //
 // Works with anything satisfying IndexLike (see index/index_ops.h): the
 // B+-tree, ART, the hash table, and composites like ShardedStore all run
@@ -14,7 +15,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -35,10 +35,7 @@ struct IndexWorkload {
   int insert_pct = 0;
   int remove_pct = 0;
 
-  enum class Distribution { kUniform, kSelfSimilar };
-  Distribution distribution = Distribution::kUniform;
-  double skew = 0.2;  // Self-similar skew factor (80/20 at 0.2).
-
+  KeyDist dist;  // Which record indexes the ops draw; uniform by default.
   KeySpace key_space = KeySpace::kDense;
 
   // Fixed-population churn mode: insert and remove arms both target the
@@ -47,14 +44,6 @@ struct IndexWorkload {
   // the steady-state regime for delete-time merge experiments — without
   // merges the node count grows without bound under such a mix.
   bool fixed_population = false;
-
-  // Batch mode: > 1 groups ops into batches of this size and issues them
-  // through the batched surface (IndexLookupBatch & friends) — one epoch
-  // guard and, where the index supports it, one interleaved descent group
-  // per batch. Each completed key counts as one op. Batched updates go
-  // through IndexUpsertBatch (the batched surface has no failing update);
-  // removes have no batched form and loop singles.
-  int batch = 1;
 
   int threads = 4;
   int duration_ms = 200;
@@ -94,115 +83,12 @@ void PreloadIndex(Tree& tree, const IndexWorkload& workload) {
   }
 }
 
-// Batch-mode worker loop: draws `batch` keys per iteration, rolls the op
-// arm once per batch, and issues one batched call. Shares the mix/key
-// semantics of the single-op loop (fresh-range inserts, wrap-around
-// removes, fixed-population churn).
-template <IndexLike Tree>
-RunResult RunIndexBenchBatched(Tree& tree, const IndexWorkload& workload) {
-  RunOptions options;
-  options.threads = workload.threads;
-  options.duration_ms = workload.duration_ms;
-  options.latency_sampling = workload.latency_sampling;
-  const size_t batch = static_cast<size_t>(workload.batch);
-
-  std::atomic<uint64_t> next_fresh{workload.records};
-  const UniformDistribution uniform(workload.records);
-  const SelfSimilarDistribution selfsim(workload.records,
-                                        workload.skew > 0 ? workload.skew
-                                                          : 0.2);
-
-  return RunFixedDuration(options, [&](int tid,
-                                       const std::atomic<bool>& stop,
-                                       WorkerStats& stats) {
-    Xoshiro256 rng(0xABCDULL * 31 + static_cast<uint64_t>(tid));
-    std::vector<uint64_t> keys(batch);
-    std::vector<uint64_t> values(batch);
-    const std::unique_ptr<bool[]> found(new bool[batch]);
-    const bool sample_latency = workload.latency_sampling > 0;
-    uint64_t until_sample = workload.latency_sampling;
-    while (!stop.load(std::memory_order_acquire)) {
-      const uint64_t op = rng.NextBounded(100);
-      const bool fresh_insert =
-          op >= static_cast<uint64_t>(workload.lookup_pct +
-                                      workload.update_pct) &&
-          op < static_cast<uint64_t>(workload.lookup_pct +
-                                     workload.update_pct +
-                                     workload.insert_pct) &&
-          !workload.fixed_population;
-      for (size_t i = 0; i < batch; ++i) {
-        if (fresh_insert) {
-          keys[i] = MakeKey(next_fresh.fetch_add(1, std::memory_order_relaxed),
-                            workload.key_space);
-        } else {
-          const uint64_t index =
-              workload.distribution == IndexWorkload::Distribution::kUniform
-                  ? uniform.Next(rng)
-                  : selfsim.Next(rng);
-          keys[i] = MakeKey(index, workload.key_space);
-        }
-      }
-
-      std::chrono::steady_clock::time_point start;
-      bool timed = false;
-      if (sample_latency && --until_sample == 0) {
-        until_sample = workload.latency_sampling;
-        start = std::chrono::steady_clock::now();
-        timed = true;
-      }
-
-      if (op < static_cast<uint64_t>(workload.lookup_pct)) {
-        IndexLookupBatch(tree, keys.data(), batch, values.data(),
-                         found.get());
-      } else if (op < static_cast<uint64_t>(workload.lookup_pct +
-                                            workload.update_pct)) {
-        for (size_t i = 0; i < batch; ++i) values[i] = rng.Next() | 1;
-        IndexUpsertBatch(tree, keys.data(), values.data(), batch);
-      } else if (op < static_cast<uint64_t>(workload.lookup_pct +
-                                            workload.update_pct +
-                                            workload.insert_pct)) {
-        for (size_t i = 0; i < batch; ++i) values[i] = keys[i] + 1;
-        IndexInsertBatch(tree, keys.data(), values.data(), batch,
-                         found.get());
-      } else {
-        // Removes stay single-op (no batched form); fixed-population mode
-        // targets the drawn keys, the default mode wraps into the fresh
-        // range like the single-op loop.
-        for (size_t i = 0; i < batch; ++i) {
-          uint64_t target_key = keys[i];
-          if (!workload.fixed_population) {
-            const uint64_t target =
-                workload.records +
-                rng.NextBounded(std::max<uint64_t>(
-                    1, next_fresh.load(std::memory_order_relaxed) -
-                           workload.records));
-            target_key = MakeKey(target, workload.key_space);
-          }
-          IndexRemove(tree, target_key);
-        }
-      }
-
-      if (timed) {
-        const auto elapsed = std::chrono::steady_clock::now() - start;
-        stats.latency.Record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()));
-      }
-      stats.ops += batch;
-    }
-  });
-}
-
 // Runs the configured mix against a preloaded index.
 template <IndexLike Tree>
 RunResult RunIndexBench(Tree& tree, const IndexWorkload& workload) {
   OPTIQL_CHECK(workload.lookup_pct + workload.update_pct +
                    workload.insert_pct + workload.remove_pct ==
                100);
-  OPTIQL_CHECK(workload.batch >= 1);
-  if (workload.batch > 1) {
-    return RunIndexBenchBatched(tree, workload);
-  }
   RunOptions options;
   options.threads = workload.threads;
   options.duration_ms = workload.duration_ms;
@@ -212,10 +98,7 @@ RunResult RunIndexBench(Tree& tree, const IndexWorkload& workload) {
   // previously inserted ones so the tree size stays roughly stable.
   std::atomic<uint64_t> next_fresh{workload.records};
 
-  const UniformDistribution uniform(workload.records);
-  const SelfSimilarDistribution selfsim(workload.records,
-                                        workload.skew > 0 ? workload.skew
-                                                          : 0.2);
+  const KeySampler sampler(workload.dist, workload.records);
 
   return RunFixedDuration(options, [&](int tid,
                                        const std::atomic<bool>& stop,
@@ -224,10 +107,7 @@ RunResult RunIndexBench(Tree& tree, const IndexWorkload& workload) {
     const bool sample_latency = workload.latency_sampling > 0;
     uint64_t until_sample = workload.latency_sampling;
     while (!stop.load(std::memory_order_acquire)) {
-      const uint64_t index =
-          workload.distribution == IndexWorkload::Distribution::kUniform
-              ? uniform.Next(rng)
-              : selfsim.Next(rng);
+      const uint64_t index = sampler.Next(rng);
       const uint64_t key = MakeKey(index, workload.key_space);
       const uint64_t op = rng.NextBounded(100);
 

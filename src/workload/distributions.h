@@ -7,11 +7,18 @@
 //   * Zipfian (YCSB-style, Gray et al. §3.2) as an additional skew model.
 //
 // Each generator maps a per-thread PRNG draw to an index in [0, n).
+// KeyDist names one of them with its parameter; KeySampler turns a KeyDist
+// into a sampler. The index harness, the trace generator and the bench
+// binaries' --dist flag pick keys through these two.
 #ifndef OPTIQL_WORKLOAD_DISTRIBUTIONS_H_
 #define OPTIQL_WORKLOAD_DISTRIBUTIONS_H_
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "common/check.h"
 #include "common/random.h"
@@ -94,6 +101,80 @@ class ZipfianDistribution {
   double zetan_;
   double theta_;
   double eta_;
+};
+
+// A parsed key-access distribution choice: one spelling shared by the
+// harness, the trace generator and every bench binary's --dist flag.
+struct KeyDist {
+  enum class Kind { kUniform, kZipfian, kSelfSimilar };
+  Kind kind = Kind::kUniform;
+  double skew = 0.0;  // Zipf theta / self-similar h; unused for uniform.
+
+  static KeyDist Uniform() { return {Kind::kUniform, 0.0}; }
+  static KeyDist Zipfian(double theta) { return {Kind::kZipfian, theta}; }
+  static KeyDist SelfSimilar(double h) { return {Kind::kSelfSimilar, h}; }
+
+  // "uniform" | "zipf" | "zipf:0.7" | "selfsimilar" | "selfsimilar:0.3".
+  static bool Parse(const std::string& spec, KeyDist& out) {
+    const size_t colon = spec.find(':');
+    const std::string name = spec.substr(0, colon);
+    const bool has_param = colon != std::string::npos;
+    const double param =
+        has_param ? std::strtod(spec.c_str() + colon + 1, nullptr) : 0.0;
+    if (name == "uniform") {
+      if (has_param) return false;
+      out = Uniform();
+    } else if (name == "zipf" || name == "zipfian") {
+      out = Zipfian(has_param ? param : 0.99);
+      if (out.skew <= 0.0 || out.skew >= 1.0) return false;
+    } else if (name == "selfsimilar") {
+      out = SelfSimilar(has_param ? param : 0.2);
+      if (out.skew <= 0.0 || out.skew >= 0.5) return false;
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  std::string Name() const {
+    char buf[32];
+    switch (kind) {
+      case Kind::kUniform:
+        return "uniform";
+      case Kind::kZipfian:
+        std::snprintf(buf, sizeof(buf), "zipf:%.2f", skew);
+        return buf;
+      case Kind::kSelfSimilar:
+        std::snprintf(buf, sizeof(buf), "selfsimilar:%.2f", skew);
+        return buf;
+    }
+    return "?";
+  }
+};
+
+// Materializes the sampler a KeyDist names over [0, records). Constructed
+// once per run (the Zipf constructor sums a harmonic series over n) and
+// shared read-only by the worker threads.
+class KeySampler {
+ public:
+  KeySampler(const KeyDist& dist, uint64_t records) : uniform_(records) {
+    if (dist.kind == KeyDist::Kind::kZipfian) {
+      zipf_.emplace(records, dist.skew);
+    } else if (dist.kind == KeyDist::Kind::kSelfSimilar) {
+      selfsim_.emplace(records, dist.skew);
+    }
+  }
+
+  uint64_t Next(Xoshiro256& rng) const {
+    if (zipf_) return zipf_->Next(rng);
+    if (selfsim_) return selfsim_->Next(rng);
+    return uniform_.Next(rng);
+  }
+
+ private:
+  UniformDistribution uniform_;
+  std::optional<ZipfianDistribution> zipf_;
+  std::optional<SelfSimilarDistribution> selfsim_;
 };
 
 }  // namespace optiql

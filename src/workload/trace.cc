@@ -9,14 +9,10 @@ Trace Trace::Generate(const TraceConfig& config) {
   std::vector<TraceOp> ops;
   ops.reserve(config.operations);
   Xoshiro256 rng(config.seed);
-  const UniformDistribution uniform(config.key_space);
-  const SelfSimilarDistribution skewed(
-      config.key_space, config.skew > 0 ? config.skew : 0.2);
+  const KeySampler sampler(config.dist, config.key_space);
 
   for (uint64_t i = 0; i < config.operations; ++i) {
-    const uint64_t index =
-        config.skew > 0 ? skewed.Next(rng) : uniform.Next(rng);
-    const uint64_t key = MakeKey(index, config.key_space_shape);
+    const uint64_t key = MakeKey(sampler.Next(rng), config.key_space_shape);
     const int roll = static_cast<int>(rng.NextBounded(100));
     TraceOp op{};
     op.key = key;

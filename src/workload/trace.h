@@ -46,7 +46,7 @@ struct TraceConfig {
   int update_pct = 10;
   int remove_pct = 5;
   uint32_t max_scan_len = 64;
-  double skew = 0.0;  // 0 = uniform; else self-similar skew factor.
+  KeyDist dist;  // Uniform by default.
   KeySpace key_space_shape = KeySpace::kDense;
   uint64_t seed = 42;
 };

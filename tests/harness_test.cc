@@ -3,7 +3,6 @@
 // smoke run of the micro/index bench frameworks.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
 
 #include "harness/bench_runner.h"
@@ -137,35 +136,6 @@ TEST(BenchRunnerTest, ThreadCountsFromEnvironment) {
   }
 }
 
-TEST(RepeatedResultTest, Statistics) {
-  RepeatedResult r;
-  r.mops = {10, 12, 14};
-  EXPECT_DOUBLE_EQ(r.Mean(), 12.0);
-  EXPECT_NEAR(r.StdDev(), 2.0, 1e-9);
-  EXPECT_NEAR(r.Ci95(), 1.96 * 2.0 / std::sqrt(3.0), 1e-9);
-  RepeatedResult single;
-  single.mops = {5};
-  EXPECT_DOUBLE_EQ(single.Mean(), 5.0);
-  EXPECT_DOUBLE_EQ(single.StdDev(), 0.0);
-  EXPECT_DOUBLE_EQ(single.Ci95(), 0.0);
-}
-
-TEST(RepeatedResultTest, RunRepeatedCollectsAllRuns) {
-  RunOptions options;
-  options.threads = 2;
-  options.duration_ms = 20;
-  options.pin_threads = false;
-  const RepeatedResult result = RunRepeated(
-      options,
-      [](int, const std::atomic<bool>& stop, WorkerStats& stats) {
-        while (!stop.load(std::memory_order_acquire)) ++stats.ops;
-      },
-      /*repeats=*/3);
-  ASSERT_EQ(result.mops.size(), 3u);
-  for (double m : result.mops) EXPECT_GT(m, 0.0);
-  EXPECT_GT(result.Mean(), 0.0);
-}
-
 TEST(MicroBenchTest, ExclusiveOnlySmoke) {
   MicroBenchConfig config;
   config.num_locks = 4;
@@ -224,7 +194,7 @@ TEST(IndexBenchTest, PreloadAndMixedRunSmoke) {
   workload.update_pct = 30;
   workload.insert_pct = 15;
   workload.remove_pct = 5;
-  workload.distribution = IndexWorkload::Distribution::kSelfSimilar;
+  workload.dist = KeyDist::SelfSimilar(0.2);
   workload.threads = 3;
   workload.duration_ms = 80;
   PreloadIndex(tree, workload);

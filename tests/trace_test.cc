@@ -63,7 +63,7 @@ TEST(TraceTest, SkewedTraceConcentratesKeys) {
   TraceConfig config;
   config.operations = 20000;
   config.key_space = 10000;
-  config.skew = 0.2;
+  config.dist = KeyDist::SelfSimilar(0.2);
   const Trace trace = Trace::Generate(config);
   uint64_t hot = 0;
   for (const TraceOp& op : trace.ops()) {

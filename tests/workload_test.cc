@@ -139,6 +139,60 @@ TEST(ZipfianDistributionTest, LowThetaApproachesUniform) {
   EXPECT_LT(*std::max_element(counts.begin(), counts.end()), 3000);
 }
 
+TEST(KeyDistTest, ParseFillsDefaultsAndParameters) {
+  KeyDist dist;
+  ASSERT_TRUE(KeyDist::Parse("uniform", dist));
+  EXPECT_EQ(dist.kind, KeyDist::Kind::kUniform);
+  ASSERT_TRUE(KeyDist::Parse("zipf", dist));
+  EXPECT_EQ(dist.kind, KeyDist::Kind::kZipfian);
+  EXPECT_DOUBLE_EQ(dist.skew, 0.99);
+  ASSERT_TRUE(KeyDist::Parse("zipf:0.7", dist));
+  EXPECT_DOUBLE_EQ(dist.skew, 0.7);
+  ASSERT_TRUE(KeyDist::Parse("selfsimilar", dist));
+  EXPECT_EQ(dist.kind, KeyDist::Kind::kSelfSimilar);
+  EXPECT_DOUBLE_EQ(dist.skew, 0.2);
+  ASSERT_TRUE(KeyDist::Parse("selfsimilar:0.3", dist));
+  EXPECT_DOUBLE_EQ(dist.skew, 0.3);
+}
+
+TEST(KeyDistTest, ParseRejectsOutOfRangeAndUnknownSpecs) {
+  KeyDist dist;
+  for (const char* spec : {"uniform:0.5", "zipf:1.0", "zipf:0",
+                           "selfsimilar:0.5", "selfsimilar:0", "latest", ""}) {
+    EXPECT_FALSE(KeyDist::Parse(spec, dist)) << spec;
+  }
+}
+
+TEST(KeyDistTest, NameRoundTripsThroughParse) {
+  for (const KeyDist& dist : {KeyDist::Uniform(), KeyDist::Zipfian(0.9),
+                              KeyDist::Zipfian(0.99),
+                              KeyDist::SelfSimilar(0.2)}) {
+    KeyDist parsed;
+    ASSERT_TRUE(KeyDist::Parse(dist.Name(), parsed)) << dist.Name();
+    EXPECT_EQ(parsed.kind, dist.kind);
+    EXPECT_DOUBLE_EQ(parsed.skew, dist.skew);
+    EXPECT_EQ(parsed.Name(), dist.Name());
+  }
+}
+
+// The sampler must draw exactly the stream of the distribution it names,
+// so a run keeps its key sequence for a given seed.
+TEST(KeySamplerTest, DrawsTheNamedDistributionsStream) {
+  constexpr uint64_t kN = 5000;
+  const UniformDistribution uniform(kN);
+  const SelfSimilarDistribution selfsim(kN, 0.2);
+  const ZipfianDistribution zipf(kN, 0.9);
+  const KeySampler uniform_sampler(KeyDist::Uniform(), kN);
+  const KeySampler selfsim_sampler(KeyDist::SelfSimilar(0.2), kN);
+  const KeySampler zipf_sampler(KeyDist::Zipfian(0.9), kN);
+  Xoshiro256 a(37), b(37);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(uniform_sampler.Next(a), uniform.Next(b));
+    ASSERT_EQ(selfsim_sampler.Next(a), selfsim.Next(b));
+    ASSERT_EQ(zipf_sampler.Next(a), zipf.Next(b));
+  }
+}
+
 TEST(KeyGeneratorTest, ScrambleIsInjectiveOnSample) {
   std::set<uint64_t> seen;
   for (uint64_t i = 0; i < 100000; ++i) {
