@@ -47,8 +47,8 @@ void RunRow(const BenchFlags& flags, const char* name,
 
 void RunCase(const BenchFlags& flags, const KeyDist& dist, int lookup_pct,
              int update_pct, const char* title) {
-  std::printf("-- %s (%d%% lookup / %d%% update) --\n", title, lookup_pct,
-              update_pct);
+  std::printf("-- %s: %s keys (%d%% lookup / %d%% update) --\n", title,
+              dist.Name().c_str(), lookup_pct, update_pct);
   std::vector<std::string> header = {
       "lock \\ threads (Mops/s / restarts-per-1k-ops)"};
   for (int t : flags.threads) header.push_back(std::to_string(t));
@@ -76,10 +76,13 @@ int main(int argc, char** argv) {
               "mechanism behind paper Figs. 1/9 — OLC abort-and-retry vs "
               "OptiQL's queue-on-leaf vs latch-free in-place updates",
               flags);
-  RunCase(flags, KeyDist::Uniform(), 20, 80, "Low contention: uniform");
-  RunCase(flags, KeyDist::SelfSimilar(0.2), 20, 80,
-          "High contention: self-similar 0.2");
-  RunCase(flags, KeyDist::SelfSimilar(0.2), 90, 10,
-          "Read-mostly hot set: self-similar 0.2");
+  if (flags.dist_given) {
+    RunCase(flags, flags.dist, 20, 80, "Write-heavy, --dist");
+    RunCase(flags, flags.dist, 90, 10, "Read-mostly, --dist");
+  } else {
+    RunCase(flags, KeyDist::Uniform(), 20, 80, "Low contention");
+    RunCase(flags, KeyDist::SelfSimilar(0.2), 20, 80, "High contention");
+    RunCase(flags, KeyDist::SelfSimilar(0.2), 90, 10, "Read-mostly hot set");
+  }
   return 0;
 }

@@ -5,8 +5,13 @@
 //   --duration=MS       per-data-point duration (default: env or 150 ms)
 //   --records=N         index preload size (default: env or 100000)
 //   --dist=SPEC         key-access distribution: uniform | zipf[:theta]
-//                       | selfsimilar[:skew] (KeyDist, default: per-binary;
-//                       read by the index sweeps, ext_ycsb and ext_txn)
+//                       | selfsimilar[:skew] (KeyDist). Replaces every
+//                       built-in distribution of a binary with keys; one
+//                       that contrasts several runs each row once, on SPEC.
+//                       Banners and table headers name the distribution a
+//                       run used. The lock-only binaries (fig06-08, tab01,
+//                       abl_fairness, micro_*) and ext_reshard have no key
+//                       distribution to replace.
 //   --batch=N           issue point reads as batches of N through the
 //                       batched op surface (default 1 = single ops; read
 //                       by ext_ycsb only, the index sweeps reject N > 1)
@@ -50,12 +55,12 @@ struct YcsbWorkload {
 };
 
 inline constexpr YcsbWorkload kYcsbWorkloads[] = {
-    {"A", "update heavy (50/50 read/update, zipf)", 50, 50, 0, 0, 0},
-    {"B", "read mostly (95/5 read/update, zipf)", 95, 5, 0, 0, 0},
-    {"C", "read only (zipf)", 100, 0, 0, 0, 0},
+    {"A", "update heavy (50/50 read/update)", 50, 50, 0, 0, 0},
+    {"B", "read mostly (95/5 read/update)", 95, 5, 0, 0, 0},
+    {"C", "read only", 100, 0, 0, 0, 0},
     {"D", "read latest (95/5 read/insert)", 95, 0, 5, 0, 0, true},
-    {"E", "short ranges (95/5 scan/insert, zipf)", 0, 0, 5, 95, 0},
-    {"F", "read-modify-write (50/50 read/rmw, zipf)", 50, 0, 0, 0, 50},
+    {"E", "short ranges (95/5 scan/insert)", 0, 0, 5, 95, 0},
+    {"F", "read-modify-write (50/50 read/rmw)", 50, 0, 0, 0, 50},
 };
 
 struct BenchFlags {
@@ -68,6 +73,18 @@ struct BenchFlags {
   KeyDist dist;           // --dist; dist_given says it was set explicitly
   bool dist_given = false;  // (binaries keep their own default otherwise).
   int batch = 1;          // --batch; 1 = single-op mode.
+
+  // The key distribution of a binary with one built in: --dist replaces
+  // it.
+  KeyDist DistOr(const KeyDist& builtin) const {
+    return dist_given ? dist : builtin;
+  }
+  // The key distributions of a binary that contrasts several: --dist
+  // replaces the whole list, so each row runs once, on it.
+  std::vector<KeyDist> DistsOr(std::vector<KeyDist> builtin) const {
+    if (dist_given) return {dist};
+    return builtin;
+  }
 
   static BenchFlags Parse(int argc, char** argv) {
     BenchFlags flags;
@@ -214,10 +231,10 @@ inline double Median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-inline void PrintBanner(const char* experiment, const char* paper_ref,
+inline void PrintBanner(const char* experiment, const std::string& paper_ref,
                         const BenchFlags& flags) {
   std::printf("=== %s ===\n", experiment);
-  std::printf("Reproduces: %s\n", paper_ref);
+  std::printf("Reproduces: %s\n", paper_ref.c_str());
   std::printf("machine: %u hardware threads; duration/point: %d ms\n",
               std::thread::hardware_concurrency(), flags.duration_ms);
   std::printf("\n");

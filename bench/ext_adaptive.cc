@@ -1,10 +1,9 @@
 // Extension: lock contention telemetry + latch-free leaf updates.
 //
 // Section 1 (fig06-style lock sweep): centralized CAS locks (TTS,
-// OptLock), queue-based locks (MCS, OptiQL) and the optimistic latch with
-// a pessimistic reader fallback (Hybrid) side by side, with the restart /
-// fallback / wait counters that explain each row. Centralized locks win
-// when collisions are rare, queue-based locks when they are not.
+// OptLock) and queue-based locks (MCS, OptiQL) side by side, with the
+// restart / wait counters that explain each row. Centralized locks win when
+// collisions are rare, queue-based locks when they are not.
 //
 // Section 2 (index sweep): B+-trees with latch-free in-place leaf updates
 // (BTree*InPlacePolicy) vs. their locked-update baselines on read-mostly
@@ -17,7 +16,7 @@
 // machine drift (CPU steal on shared boxes) lands on all protocols alike
 // instead of biasing whichever row happened to run in a slow window.
 //
-// With -DOPTIQL_LOCK_TELEMETRY=ON the restart/fallback/wait counters from
+// With -DOPTIQL_LOCK_TELEMETRY=ON the restart/wait counters from
 // src/sync/lock_telemetry.h are reported alongside throughput (they read 0
 // in default builds). --json writes BENCH_adaptive.json.
 #include <map>
@@ -36,14 +35,12 @@ namespace {
 
 struct TelemetryDelta {
   uint64_t restarts = 0;
-  uint64_t fallbacks = 0;
   uint64_t waits = 0;
   uint64_t inplace_updates = 0;
   uint64_t inplace_fallbacks = 0;
 
   TelemetryDelta& operator+=(const TelemetryDelta& o) {
     restarts += o.restarts;
-    fallbacks += o.fallbacks;
     waits += o.waits;
     inplace_updates += o.inplace_updates;
     inplace_fallbacks += o.inplace_fallbacks;
@@ -55,7 +52,6 @@ TelemetryDelta TakeDelta() {
   const LockTelemetry::Snapshot s = LockTelemetry::Take();
   TelemetryDelta d;
   d.restarts = s[LockTelemetry::kOptimisticRestart];
-  d.fallbacks = s[LockTelemetry::kPessimisticFallback];
   d.waits = s[LockTelemetry::kExclusiveWait];
   d.inplace_updates = s[LockTelemetry::kInPlaceUpdate];
   d.inplace_fallbacks = s[LockTelemetry::kInPlaceFallback];
@@ -102,14 +98,12 @@ void LockLevel(const BenchFlags& flags, const ContentionLevel& level,
       level.num_locks == 0 ? " per thread" : "", read_pct, repeats);
 
   PointMap points;
-  const std::vector<std::string> order = {"TTS", "OptLock", "MCS", "OptiQL",
-                                          "Hybrid"};
+  const std::vector<std::string> order = {"TTS", "OptLock", "MCS", "OptiQL"};
   for (int rep = 0; rep < repeats; ++rep) {
     LockPass<TtsLock>(flags, level, read_pct, points);
     LockPass<OptLock>(flags, level, read_pct, points);
     LockPass<McsLock>(flags, level, read_pct, points);
     LockPass<OptiQL>(flags, level, read_pct, points);
-    LockPass<HybridLock>(flags, level, read_pct, points);
   }
 
   std::vector<std::string> header = {"lock \\ threads (Mops/s)"};
@@ -131,7 +125,6 @@ void LockLevel(const BenchFlags& flags, const ContentionLevel& level,
           {"repeats", std::to_string(repeats)},
           {"mops", JsonBenchWriter::Num(Median(p.mops))},
           {"telemetry_restarts", std::to_string(t.restarts)},
-          {"telemetry_fallbacks", std::to_string(t.fallbacks)},
           {"telemetry_waits", std::to_string(t.waits)},
       });
     }
@@ -170,16 +163,16 @@ void IndexPass(Tree& tree, const char* name, const BenchFlags& flags,
 void IndexMix(const BenchFlags& flags, int lookup_pct, int update_pct,
               JsonBenchWriter& json) {
   const int repeats = BenchRepeats();
+  const KeyDist dist = flags.DistOr(KeyDist::SelfSimilar(0.2));
   std::printf(
-      "-- B+-tree, %d%% lookup / %d%% update, self-similar 0.2, "
-      "median of %d --\n",
-      lookup_pct, update_pct, repeats);
+      "-- B+-tree, %d%% lookup / %d%% update, %s keys, median of %d --\n",
+      lookup_pct, update_pct, dist.Name().c_str(), repeats);
 
   IndexWorkload workload;
   workload.records = flags.records;
   workload.lookup_pct = lookup_pct;
   workload.update_pct = update_pct;
-  workload.dist = KeyDist::SelfSimilar(0.2);
+  workload.dist = dist;
   workload.duration_ms = flags.duration_ms;
 
   // Preload every tree up front; the mixes are lookup/update-only, so the
@@ -219,7 +212,7 @@ void IndexMix(const BenchFlags& flags, int lookup_pct, int update_pct,
           {"tree", name},
           {"lookup_pct", std::to_string(lookup_pct)},
           {"update_pct", std::to_string(update_pct)},
-          {"distribution", "selfsimilar-0.2"},
+          {"distribution", dist.Name()},
           {"threads", std::to_string(threads)},
           {"repeats", std::to_string(repeats)},
           {"mops", JsonBenchWriter::Num(Median(p.mops))},
@@ -245,8 +238,8 @@ int main(int argc, char** argv) {
   using namespace optiql;
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
   PrintBanner("Extension: lock telemetry + latch-free leaf updates",
-              "extends paper Fig. 6 / Fig. 9 with restart/fallback/wait "
-              "counters (telemetry columns need -DOPTIQL_LOCK_TELEMETRY=ON)",
+              "extends paper Fig. 6 / Fig. 9 with restart/wait counters "
+              "(telemetry columns need -DOPTIQL_LOCK_TELEMETRY=ON)",
               flags);
   if constexpr (!LockTelemetry::kEnabled) {
     std::printf(
@@ -263,7 +256,7 @@ int main(int argc, char** argv) {
     }
     LockLevel(flags, level, /*read_pct=*/0, json);
   }
-  // Read-mixed pass: optimistic readers vs Hybrid's pessimistic fallback.
+  // Read-mixed pass: optimistic readers vs readers that take the lock.
   LockLevel(flags, kContentionLevels[1], /*read_pct=*/80, json);
   // Read-mostly skewed mixes: the latch-free in-place update target.
   IndexMix(flags, /*lookup_pct=*/95, /*update_pct=*/5, json);

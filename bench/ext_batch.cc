@@ -1,4 +1,4 @@
-// Extension: batched index execution (ISSUE 8). Three questions, three
+// Extension: batched index execution. Three questions, three
 // phases, all over preloaded read paths:
 //
 //   A. Interleave sweep — how many in-flight descents (G) maximize the
@@ -12,6 +12,7 @@
 //      (guard + route per key) vs LookupBatch (partition once, one
 //      amortized guard + one interleaved group per shard).
 //
+// --dist replaces every phase's distribution (phase B runs it alone).
 // Emits BENCH_batch.json with --json.
 #include <memory>
 #include <string>
@@ -94,8 +95,9 @@ void SweepTree(const char* name, const BenchFlags& flags,
   PreloadIndex(*tree, preload);
 
   // Phase A: interleave sweep.
-  std::printf("-- %s: interleave sweep (batch=%zu, uniform, 1 thread) --\n",
-              name, kSweepBatch);
+  const KeyDist sweep_dist = flags.DistOr(KeyDist::Uniform());
+  std::printf("-- %s: interleave sweep (batch=%zu, %s keys, 1 thread) --\n",
+              name, kSweepBatch, sweep_dist.Name().c_str());
   std::vector<std::string> header = {"G (Mops/s)"};
   for (size_t lanes : kLaneSweep) header.push_back(std::to_string(lanes));
   TablePrinter sweep_table(std::move(header));
@@ -104,7 +106,7 @@ void SweepTree(const char* name, const BenchFlags& flags,
   double best_mops = 0;
   for (size_t lanes : kLaneSweep) {
     const double mops = RunBatchReads(*tree, flags, /*threads=*/1,
-                                      KeyDist::Uniform(), kSweepBatch, lanes);
+                                      sweep_dist, kSweepBatch, lanes);
     json.AddRecord({{"phase", "interleave"},
                     {"index", name},
                     {"batch", JsonBenchWriter::Num(kSweepBatch)},
@@ -121,7 +123,6 @@ void SweepTree(const char* name, const BenchFlags& flags,
   std::printf("best interleave: G=%zu\n\n", best_lanes);
 
   // Phase B: batch-size sweep vs the loop-of-singles baseline.
-  const KeyDist dists[] = {KeyDist::Uniform(), KeyDist::SelfSimilar(0.2)};
   std::printf("-- %s: batch sweep (G=%zu, 1 thread) --\n", name, best_lanes);
   std::vector<std::string> batch_header = {"dist \\ batch"};
   batch_header.push_back("1 (singles)");
@@ -130,7 +131,8 @@ void SweepTree(const char* name, const BenchFlags& flags,
   }
   batch_header.push_back("speedup@128");
   TablePrinter batch_table(std::move(batch_header));
-  for (const KeyDist& dist : dists) {
+  for (const KeyDist& dist :
+       flags.DistsOr({KeyDist::Uniform(), KeyDist::SelfSimilar(0.2)})) {
     const double singles = RunBatchReads(*tree, flags, /*threads=*/1, dist,
                                          /*batch=*/1, /*lanes=*/1);
     json.AddRecord({{"phase", "batch_sweep"},
@@ -172,9 +174,10 @@ void SweepSharded(const BenchFlags& flags, JsonBenchWriter& json) {
   preload.records = flags.records;
   PreloadIndex(*store, preload);
 
+  const KeyDist dist = flags.DistOr(KeyDist::Uniform());
   std::printf("-- ShardedStore<BTreeOptLock>, %zu shards: per-op vs batched "
-              "dispatch (uniform) --\n",
-              kShards);
+              "dispatch (%s keys) --\n",
+              kShards, dist.Name().c_str());
   std::vector<std::string> header = {"threads", "per-op"};
   for (size_t batch : {size_t{32}, size_t{128}}) {
     header.push_back("batch=" + std::to_string(batch));
@@ -184,8 +187,7 @@ void SweepSharded(const BenchFlags& flags, JsonBenchWriter& json) {
   std::vector<int> thread_counts = {1};
   if (flags.MaxThreads() > 1) thread_counts.push_back(flags.MaxThreads());
   for (int threads : thread_counts) {
-    const double per_op = RunBatchReads(*store, flags, threads,
-                                        KeyDist::Uniform(), 1, 1);
+    const double per_op = RunBatchReads(*store, flags, threads, dist, 1, 1);
     json.AddRecord({{"phase", "sharded"},
                     {"shards", JsonBenchWriter::Num(kShards)},
                     {"threads", JsonBenchWriter::Num(threads)},
@@ -197,8 +199,8 @@ void SweepSharded(const BenchFlags& flags, JsonBenchWriter& json) {
     row.push_back(TablePrinter::Fmt(per_op));
     double last_speedup = 1;
     for (size_t batch : {size_t{32}, size_t{128}}) {
-      const double mops = RunBatchReads(*store, flags, threads,
-                                        KeyDist::Uniform(), batch, 0);
+      const double mops =
+          RunBatchReads(*store, flags, threads, dist, batch, 0);
       last_speedup = mops / per_op;
       json.AddRecord({{"phase", "sharded"},
                       {"shards", JsonBenchWriter::Num(kShards)},

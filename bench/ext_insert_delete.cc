@@ -19,6 +19,10 @@ constexpr ChurnMix kMixes[] = {
     {"Insert-heavy (50/50 lookup/insert)", 50, 50, 0},
     {"Churn (50 lookup / 25 insert / 25 remove)", 50, 25, 25},
 };
+// Built-in key distributions of the mix tables and of the steady-state
+// table; --dist replaces both.
+const KeyDist kMixDist = KeyDist::SelfSimilar(0.2);
+const KeyDist kSteadyDist = KeyDist::Uniform();
 
 template <class Tree>
 void RunRow(const BenchFlags& flags, const char* name, const ChurnMix& mix,
@@ -34,7 +38,7 @@ void RunRow(const BenchFlags& flags, const char* name, const ChurnMix& mix,
     workload.insert_pct = mix.insert_pct;
     workload.remove_pct = mix.remove_pct;
     workload.update_pct = 0;
-    workload.dist = KeyDist::SelfSimilar(0.2);
+    workload.dist = flags.DistOr(kMixDist);
     workload.threads = threads;
     workload.duration_ms = flags.duration_ms;
     PreloadIndex(*tree, workload);
@@ -59,6 +63,7 @@ void RunSteadyStateRow(const BenchFlags& flags, const char* name,
   workload.insert_pct = 50;
   workload.remove_pct = 50;
   workload.fixed_population = true;
+  workload.dist = flags.DistOr(kSteadyDist);
   workload.threads = flags.threads.back();
   workload.duration_ms = flags.duration_ms;
   PreloadIndex(*tree, workload);
@@ -76,9 +81,9 @@ void RunSteadyStateRow(const BenchFlags& flags, const char* name,
 
 void RunSteadyState(const BenchFlags& flags) {
   std::printf(
-      "-- B+-tree steady state: fixed-population 50/50 insert/remove churn "
-      "(%d threads) --\n",
-      flags.threads.back());
+      "-- B+-tree steady state: fixed-population 50/50 insert/remove churn, "
+      "%s keys (%d threads) --\n",
+      flags.DistOr(kSteadyDist).Name().c_str(), flags.threads.back());
   TablePrinter table({"lock", "Mops/s", "nodes preload", "nodes W1",
                       "nodes W2", "merges", "borrows", "retired",
                       "reclaimed"});
@@ -90,7 +95,8 @@ void RunSteadyState(const BenchFlags& flags) {
 }
 
 void RunMix(const BenchFlags& flags, const ChurnMix& mix) {
-  std::printf("-- B+-tree, %s --\n", mix.name);
+  const std::string dist = flags.DistOr(kMixDist).Name();
+  std::printf("-- B+-tree, %s, %s keys --\n", mix.name, dist.c_str());
   std::vector<std::string> header = {"lock \\ threads (Mops/s)"};
   for (int t : flags.threads) header.push_back(std::to_string(t));
   {
@@ -100,7 +106,7 @@ void RunMix(const BenchFlags& flags, const ChurnMix& mix) {
     RunRow<BTreeOptiQl>(flags, "OptiQL", mix, table);
     table.Print();
   }
-  std::printf("\n-- ART, %s --\n", mix.name);
+  std::printf("\n-- ART, %s, %s keys --\n", mix.name, dist.c_str());
   {
     TablePrinter table(header);
     RunRow<ArtOptLock>(flags, "OptLock", mix, table);

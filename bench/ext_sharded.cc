@@ -21,20 +21,24 @@ namespace {
 constexpr size_t kShardCounts[] = {1, 4, 16};
 
 struct SkewPoint {
-  const char* name;
+  std::string name;  // The JSON `skew` field.
   KeyDist dist;
 };
 
-const SkewPoint kSkewPoints[] = {
-    {"uniform", KeyDist::Uniform()},
-    {"selfsim-0.2", KeyDist::SelfSimilar(0.2)},
-};
+// The built-in uniform / self-similar contrast; --dist replaces it with
+// one point named by its spelling.
+std::vector<SkewPoint> SkewPoints(const BenchFlags& flags) {
+  if (flags.dist_given) return {{flags.dist.Name(), flags.dist}};
+  return {{"uniform", KeyDist::Uniform()},
+          {"selfsim-0.2", KeyDist::SelfSimilar(0.2)}};
+}
 
 template <class Tree>
 void RunLock(const BenchFlags& flags, const char* lock_name,
              JsonBenchWriter* json) {
-  for (const SkewPoint& skew : kSkewPoints) {
-    std::printf("-- %s, update-only, %s --\n", lock_name, skew.name);
+  for (const SkewPoint& skew : SkewPoints(flags)) {
+    std::printf("-- %s, update-only, %s keys --\n", lock_name,
+                skew.dist.Name().c_str());
     std::vector<std::string> header = {"shards \\ threads (Mops/s)"};
     for (int t : flags.threads) header.push_back(std::to_string(t));
     TablePrinter table(std::move(header));

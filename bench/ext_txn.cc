@@ -32,7 +32,6 @@ namespace {
 
 using HashOptLock = HashTable<HashOlcPolicy>;
 using HashOptiQl = HashTable<HashOptiQlPolicy<>>;
-using HashOptiClh = HashTable<HashLockPolicy<OptiCLH>>;
 using HashMcsRw = HashTable<HashLockPolicy<McsRwLock>>;
 using BTreeTxnOptLock = BTreeOptLock;  // index_bench_common typedef.
 using BTreeTxnOptiQl =
@@ -122,40 +121,34 @@ void TxnSection(const BenchFlags& flags, const KeyDist& dist, int txn_size,
 
   auto h_optlock = std::make_unique<HashOptLock>();
   auto h_optiql = std::make_unique<HashOptiQl>();
-  auto h_opticlh = std::make_unique<HashOptiClh>();
   auto h_mcsrw = std::make_unique<HashMcsRw>();
   auto b_optlock = std::make_unique<BTreeTxnOptLock>();
   auto b_optiql = std::make_unique<BTreeTxnOptiQl>();
   Preload(*h_optlock, flags.records);
   Preload(*h_optiql, flags.records);
-  Preload(*h_opticlh, flags.records);
   Preload(*h_mcsrw, flags.records);
   Preload(*b_optlock, flags.records);
   Preload(*b_optiql, flags.records);
 
   const RowSpec occ_h_optlock{"OCC hash/OptLock", "occ", "OptLock", "hash"};
   const RowSpec occ_h_optiql{"OCC hash/OptiQL", "occ", "OptiQL", "hash"};
-  const RowSpec occ_h_opticlh{"OCC hash/OptiCLH", "occ", "OptiCLH", "hash"};
   const RowSpec occ_b_optlock{"OCC btree/OptLock", "occ", "OptLock", "btree"};
   const RowSpec occ_b_optiql{"OCC btree/OptiQL", "occ", "OptiQL", "btree"};
   const RowSpec tpl_h_optlock{"2PL hash/OptLock", "2pl", "OptLock", "hash"};
   const RowSpec tpl_h_optiql{"2PL hash/OptiQL", "2pl", "OptiQL", "hash"};
-  const RowSpec tpl_h_opticlh{"2PL hash/OptiCLH", "2pl", "OptiCLH", "hash"};
   const RowSpec tpl_h_mcsrw{"2PL hash/MCS-RW", "2pl", "MCS-RW", "hash"};
   const RowSpec tpl_b_optlock{"2PL btree/OptLock", "2pl", "OptLock", "btree"};
   const RowSpec tpl_b_optiql{"2PL btree/OptiQL", "2pl", "OptiQL", "btree"};
   const std::vector<const RowSpec*> order = {
-      &occ_h_optlock, &occ_h_optiql, &occ_h_opticlh, &occ_b_optlock,
-      &occ_b_optiql,  &tpl_h_optlock, &tpl_h_optiql, &tpl_h_opticlh,
-      &tpl_h_mcsrw,   &tpl_b_optlock, &tpl_b_optiql};
+      &occ_h_optlock, &occ_h_optiql,  &occ_b_optlock, &occ_b_optiql,
+      &tpl_h_optlock, &tpl_h_optiql,  &tpl_h_mcsrw,   &tpl_b_optlock,
+      &tpl_b_optiql};
 
   PointMap points;
   for (int rep = 0; rep < repeats; ++rep) {
     TxnPass<OccTxn>(*h_optlock, occ_h_optlock, flags, sampler, txn_size,
                     points);
     TxnPass<OccTxn>(*h_optiql, occ_h_optiql, flags, sampler, txn_size,
-                    points);
-    TxnPass<OccTxn>(*h_opticlh, occ_h_opticlh, flags, sampler, txn_size,
                     points);
     TxnPass<OccTxn>(*b_optlock, occ_b_optlock, flags, sampler, txn_size,
                     points);
@@ -164,8 +157,6 @@ void TxnSection(const BenchFlags& flags, const KeyDist& dist, int txn_size,
     TxnPass<TwoPlTxn>(*h_optlock, tpl_h_optlock, flags, sampler, txn_size,
                       points);
     TxnPass<TwoPlTxn>(*h_optiql, tpl_h_optiql, flags, sampler, txn_size,
-                      points);
-    TxnPass<TwoPlTxn>(*h_opticlh, tpl_h_opticlh, flags, sampler, txn_size,
                       points);
     TxnPass<TwoPlTxn>(*h_mcsrw, tpl_h_mcsrw, flags, sampler, txn_size,
                       points);
@@ -215,16 +206,9 @@ int main(int argc, char** argv) {
               "against the indexes' own lock words",
               flags);
   JsonBenchWriter json;
-  // --dist narrows the sweep to one skew; the default runs the paper-style
-  // uniform / zipf 0.99 contrast.
-  std::vector<KeyDist> dists;
-  if (flags.dist_given) {
-    dists.push_back(flags.dist);
-  } else {
-    dists.push_back(KeyDist::Uniform());
-    dists.push_back(KeyDist::Zipfian(0.99));
-  }
-  for (const KeyDist& dist : dists) {
+  // The paper-style uniform / zipf 0.99 contrast; --dist narrows it to one.
+  for (const KeyDist& dist :
+       flags.DistsOr({KeyDist::Uniform(), KeyDist::Zipfian(0.99)})) {
     for (int txn_size : {2, 4, 8}) {
       TxnSection(flags, dist, txn_size, json);
     }

@@ -19,6 +19,9 @@
 namespace optiql {
 namespace {
 
+// YCSB's default request skew; --dist replaces it for the whole sweep.
+const KeyDist kYcsbDist = KeyDist::Zipfian(0.99);
+
 template <class Tree>
 double RunYcsb(const BenchFlags& flags, const YcsbWorkload& workload,
                int threads, int batch) {
@@ -31,10 +34,7 @@ double RunYcsb(const BenchFlags& flags, const YcsbWorkload& workload,
   RunOptions options;
   options.threads = threads;
   options.duration_ms = flags.duration_ms;
-  // YCSB's default request skew; --dist overrides it for the whole sweep.
-  const KeyDist dist =
-      flags.dist_given ? flags.dist : KeyDist::Zipfian(0.99);
-  const KeySampler sampler(dist, flags.records);
+  const KeySampler sampler(flags.DistOr(kYcsbDist), flags.records);
   const size_t read_batch = batch > 1 ? static_cast<size_t>(batch) : 1;
 
   const RunResult result = RunFixedDuration(
@@ -107,7 +107,8 @@ int main(int argc, char** argv) {
   using namespace optiql;
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
   PrintBanner("Extension: YCSB A-F on the B+-tree",
-              "industry-standard mixes (zipf 0.99), OptLock vs OptiQL",
+              "industry-standard mixes (" + flags.DistOr(kYcsbDist).Name() +
+                  " keys), OptLock vs OptiQL",
               flags);
   for (const YcsbWorkload& workload : kYcsbWorkloads) {
     std::printf("-- YCSB-%s: %s --\n", workload.name, workload.description);

@@ -25,7 +25,7 @@ void RunRow(const BenchFlags& flags, const KeyDist& dist, const char* name,
 
 void RunCase(const BenchFlags& flags, const KeyDist& dist,
              const char* title) {
-  std::printf("-- %s --\n", title);
+  std::printf("-- %s: %s keys --\n", title, dist.Name().c_str());
   std::vector<std::string> header = {"lock \\ threads (Mops/s)"};
   for (int t : flags.threads) header.push_back(std::to_string(t));
   TablePrinter table(std::move(header));
@@ -44,8 +44,11 @@ int main(int argc, char** argv) {
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
   PrintBanner("Figure 1: B+-tree update throughput, OptLock vs OptiQL",
               "paper Fig. 1 (§1, 100% updates, dense 8-byte keys)", flags);
-  RunCase(flags, KeyDist::Uniform(), "(a) Low contention: uniform keys");
-  RunCase(flags, KeyDist::SelfSimilar(0.2),
-          "(b) High contention: self-similar, skew 0.2");
+  if (flags.dist_given) {
+    RunCase(flags, flags.dist, "--dist");
+  } else {
+    RunCase(flags, KeyDist::Uniform(), "(a) Low contention");
+    RunCase(flags, KeyDist::SelfSimilar(0.2), "(b) High contention");
+  }
   return 0;
 }

@@ -10,6 +10,7 @@ namespace {
 
 const std::vector<OpMix> kMixes(std::begin(kPaperOpMixes),
                                 std::end(kPaperOpMixes));
+const KeyDist kBuiltinDist = KeyDist::SelfSimilar(0.2);
 
 struct Sheet {
   // [mix][lock] -> row of throughput per thread count.
@@ -21,7 +22,7 @@ template <class Tree>
 void RunTree(const BenchFlags& flags, const char* lock_name, Sheet& sheet) {
   IndexWorkload base;
   base.records = flags.records;
-  base.dist = KeyDist::SelfSimilar(0.2);
+  base.dist = kBuiltinDist;
   base.key_space = KeySpace::kDense;
 
   const size_t lock_idx = sheet.lock_names.size();
@@ -61,7 +62,9 @@ int main(int argc, char** argv) {
   using namespace optiql;
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
   PrintBanner("Figure 9: index throughput under skewed access",
-              "paper Fig. 9 (§7.3, self-similar 0.2, dense keys)", flags);
+              "paper Fig. 9 (§7.3, " + flags.DistOr(kBuiltinDist).Name() +
+                  " keys, dense)",
+              flags);
 
   {
     Sheet sheet;

@@ -6,11 +6,13 @@
 namespace optiql {
 namespace {
 
+const KeyDist kBuiltinDist = KeyDist::Uniform();
+
 template <class Tree>
 void RunRow(const BenchFlags& flags, const char* name, TablePrinter& table) {
   IndexWorkload base;
   base.records = flags.records;
-  base.dist = KeyDist::Uniform();
+  base.dist = kBuiltinDist;
   std::vector<std::string> row = {name};
   row.resize(1 + flags.threads.size());
   SweepIndex<Tree>(flags, base, {{"Balanced", 50, 50}},
@@ -27,7 +29,8 @@ int main(int argc, char** argv) {
   using namespace optiql;
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
   PrintBanner("Figure 10: index throughput under low contention (balanced)",
-              "paper Fig. 10 (§7.3, uniform keys, 50% lookup / 50% update)",
+              "paper Fig. 10 (§7.3, " + flags.DistOr(kBuiltinDist).Name() +
+                  " keys, 50% lookup / 50% update)",
               flags);
 
   std::vector<std::string> header = {"lock \\ threads (Mops/s)"};

@@ -10,6 +10,7 @@ namespace {
 
 const std::vector<OpMix> kMixes = {
     {"Read-heavy", 80, 20}, {"Balanced", 50, 50}, {"Write-heavy", 20, 80}};
+const KeyDist kBuiltinDist = KeyDist::SelfSimilar(0.2);
 
 // results[mix][lock][size] in Mops/s, as strings.
 using ResultGrid = std::vector<std::vector<std::vector<std::string>>>;
@@ -19,7 +20,7 @@ void RunCell(const BenchFlags& flags, size_t lock_idx, size_t size_idx,
              ResultGrid& grid) {
   IndexWorkload base;
   base.records = flags.records;
-  base.dist = KeyDist::SelfSimilar(0.2);
+  base.dist = kBuiltinDist;
   BenchFlags one = flags;
   one.threads = {flags.MaxThreads()};  // Fixed thread count (paper: 40).
   SweepIndex<Tree>(one, base, kMixes,
@@ -48,7 +49,8 @@ int main(int argc, char** argv) {
   using namespace optiql;
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
   PrintBanner("Figure 11: B+-tree throughput vs. node size (incl. AOR)",
-              "paper Fig. 11 (§7.4, self-similar 0.2, fixed thread count)",
+              "paper Fig. 11 (§7.4, " + flags.DistOr(kBuiltinDist).Name() +
+                  " keys, fixed thread count)",
               flags);
 
   const std::vector<std::string> sizes = {"256",  "512",  "1024", "2048",

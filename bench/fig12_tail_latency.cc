@@ -9,6 +9,7 @@ namespace {
 
 const std::vector<OpMix> kMixes = {
     {"Read-only", 100, 0}, {"Balanced", 50, 50}, {"Update-only", 0, 100}};
+const KeyDist kBuiltinDist = KeyDist::SelfSimilar(0.2);
 
 constexpr double kQuantiles[] = {0.0, 0.5, 0.9, 0.99, 0.999, 0.9999,
                                  0.99999};
@@ -20,7 +21,7 @@ void RunRows(const BenchFlags& flags, const char* lock_name, int threads,
              std::vector<std::vector<std::string>>& rows_per_mix) {
   IndexWorkload base;
   base.records = flags.records;
-  base.dist = KeyDist::SelfSimilar(0.2);
+  base.dist = kBuiltinDist;
   base.latency_sampling = 8;  // Sample 1/8 operations.
   BenchFlags one = flags;
   one.threads = {threads};
@@ -72,7 +73,8 @@ int main(int argc, char** argv) {
   using namespace optiql;
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
   PrintBanner("Figure 12: tail latency percentiles",
-              "paper Fig. 12 (§7.5, self-similar 0.2, two thread counts)",
+              "paper Fig. 12 (§7.5, " + flags.DistOr(kBuiltinDist).Name() +
+                  " keys, two thread counts)",
               flags);
   RunIndex<BTreeOptLock, BTreeOptiQlNor, BTreeOptiQl>("B+-tree", flags);
   RunIndex<ArtOptLock, ArtOptiQlNor, ArtOptiQl>("ART", flags);

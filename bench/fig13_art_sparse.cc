@@ -11,13 +11,14 @@ namespace {
 
 const std::vector<OpMix> kMixes = {{"Read-heavy", 80, 20},
                                    {"Write-heavy", 20, 80}};
+const KeyDist kBuiltinDist = KeyDist::SelfSimilar(0.2);
 
 template <class Tree>
 void RunRow(const BenchFlags& flags, const char* name, size_t mix,
             TablePrinter& table, std::string* diag) {
   IndexWorkload base;
   base.records = flags.records;
-  base.dist = KeyDist::SelfSimilar(0.2);
+  base.dist = flags.DistOr(kBuiltinDist);
   base.key_space = KeySpace::kSparse;
 
   auto tree = std::make_unique<Tree>();
@@ -46,7 +47,8 @@ int main(int argc, char** argv) {
   using namespace optiql;
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
   PrintBanner("Figure 13: ART with sparse keys (lazy expansion)",
-              "paper Fig. 13 (§7.6, self-similar 0.2, sparse 8-byte keys)",
+              "paper Fig. 13 (§7.6, " + flags.DistOr(kBuiltinDist).Name() +
+                  " keys, sparse 8-byte)",
               flags);
   for (size_t m = 0; m < kMixes.size(); ++m) {
     std::printf("-- (%c) %s (%d%% lookup / %d%% update) --\n",

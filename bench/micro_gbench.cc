@@ -28,9 +28,6 @@ BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, McsLock);
 BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, McsRwLock);
 BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, OptiQLNor);
 BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, OptiQL);
-BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, ClhLock);
-BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, OptiCLH);
-BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, HybridLock);
 BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, SharedMutexLock);
 
 template <class Lock>
@@ -47,8 +44,6 @@ void BM_OptimisticReadSnapshotValidate(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_OptimisticReadSnapshotValidate, OptLock);
 BENCHMARK_TEMPLATE(BM_OptimisticReadSnapshotValidate, OptiQL);
 BENCHMARK_TEMPLATE(BM_OptimisticReadSnapshotValidate, OptiQLNor);
-BENCHMARK_TEMPLATE(BM_OptimisticReadSnapshotValidate, OptiCLH);
-BENCHMARK_TEMPLATE(BM_OptimisticReadSnapshotValidate, HybridLock);
 
 // Ablation: the cost of the §6.3 queue-node ID <-> pointer indirection.
 void BM_QNodeIdTranslation(benchmark::State& state) {

@@ -104,7 +104,6 @@ TRUSTED_PATHS = (
     "src/qnode/",
     "src/sync/",
     "src/core/optiql.h",
-    "src/core/opticlh.h",
 )
 
 # Protocol-primitive wrappers: functions whose body is one leg of the

@@ -59,7 +59,6 @@ benches=(
   "micro_gbench"
   "ext_insert_delete"
   "ext_hash_table"
-  "ext_opticlh"
   "ext_ycsb"
   "ext_sharded --json"
   "ext_adaptive --json"

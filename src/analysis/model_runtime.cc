@@ -99,26 +99,6 @@ void InvariantFailed(const char* file, int line, const char* cond,
   std::abort();
 }
 
-QNode* ScenarioPopQNode() {
-  Runtime::WorkerSlot* slot = t_slot;
-  if (slot == nullptr) return nullptr;
-  OPTIQL_CHECK(!slot->deck.empty());  // kDeckSize exceeded by the scenario
-  QNode* node = slot->deck.back();
-  slot->deck.pop_back();
-  {
-    QuietScope quiet;
-    node->Reset();
-  }
-  return node;
-}
-
-bool ScenarioPushQNode(QNode* node) {
-  Runtime::WorkerSlot* slot = t_slot;
-  if (slot == nullptr) return false;
-  slot->deck.push_back(node);
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Runtime
 
@@ -211,8 +191,7 @@ void Runtime::Begin() {
     // Re-deal the deck: identical node identity every execution, pristine
     // contents, forced back to Idle (an aborted execution can leave a node
     // marked Queued).
-    slot.deck = master_decks_[tid];
-    for (QNode* node : slot.deck) {
+    for (QNode* node : master_decks_[tid]) {
       node->Reset();
       node->dbg_state.store(QNode::kDbgIdle, std::memory_order_relaxed);
     }

@@ -68,9 +68,8 @@ class Scenario {
 class Runtime {
  public:
   static constexpr int kMaxThreads = 4;
-  // Queue nodes dealt to each worker for CLH-style node migration (covers
-  // one live node + one adopted node with slack) plus direct per-thread
-  // nodes handed out via DeckNode().
+  // Queue nodes dealt to each worker and handed out via DeckNode(): one
+  // per queue lock a scenario thread holds at once, with slack.
   static constexpr int kDeckSize = 4;
 
   explicit Runtime(Scenario& scenario);
@@ -156,8 +155,6 @@ class Runtime {
     const void* last_access_obj = nullptr;
     const void* last_spin_obj = nullptr;
     uint64_t last_spin_gen = 0;
-    // Queue-node deck, re-dealt by Begin().
-    std::vector<QNode*> deck;
     int tid = -1;
     std::thread thread;
   };

@@ -8,12 +8,12 @@
 //
 // What is annotated and what deliberately is NOT:
 //
-//   * The pessimistic locks (MCS, MCS-RW, TTS, ticket, CLH, shared_mutex,
+//   * The pessimistic locks (MCS, MCS-RW, TTS, ticket, shared_mutex,
 //     and OptLock's exclusive side) are CAPABILITYs with ACQUIRE/RELEASE
 //     annotated entry points. Their bodies are implementation detail — TSA
 //     treats an annotated primitive's body as trusted and checks *callers*
 //     against the contract, which is exactly what we want.
-//   * The optimistic read protocols (OptiQL/OptiCLH shared mode, OptLock
+//   * The optimistic read protocols (OptiQL shared mode, OptLock
 //     AcquireSh/ReleaseSh) are NOT expressible in TSA: an optimistic
 //     "acquire" writes nothing and the subsequent reads are by-design data
 //     races resolved by validation. Those paths are covered by

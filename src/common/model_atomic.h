@@ -24,10 +24,6 @@
 
 #if defined(OPTIQL_MODEL) && OPTIQL_MODEL
 
-namespace optiql {
-struct QNode;  // qnode/qnode_pool.h
-}
-
 namespace optiql::model {
 
 // Visible-operation kinds, as the explorer's dependency relation sees
@@ -93,17 +89,6 @@ struct SeededBugs {
   bool reshard_copy_skips_gate = false;
 };
 SeededBugs& bugs();
-
-// Deterministic queue-node supply for CLH-style locks whose nodes migrate
-// between threads. The thread-local ThreadQNodeStack reuses whatever node
-// migration left in the cache, so the node IDENTITY at a given trace
-// position would vary across executions — invisible state the scheduler
-// cannot replay. Managed threads instead draw from a per-thread node set
-// the runtime re-deals identically at the start of every execution.
-// ScenarioPopQNode returns nullptr (and ScenarioPushQNode returns false)
-// for unmanaged threads, falling through to the normal cache.
-QNode* ScenarioPopQNode();
-bool ScenarioPushQNode(QNode* node);
 
 // Converts any ModelAtomic-storable value to a trace representation.
 template <class T>

@@ -56,18 +56,13 @@ inline void CriticalSectionWork(int cs_length) {
 // Runs `f` under `lock`'s read protection, picked by the TxnOps contract
 // flags, and returns false if an optimistic read failed validation (the
 // caller decides whether to retry):
-//  * both read modes (HybridLock): the lock's own optimistic-then-
-//    pessimistic ReadCriticalHybrid policy, which never fails;
 //  * versioned families: snapshot, run, validate;
 //  * shared-mode families: the blocking shared lock;
 //  * exclusive-only families: the exclusive lock.
 template <class Lock, class F>
 bool ReadCritical(Lock& lock, F&& f) {
   using Ops = TxnOps<Lock>;
-  if constexpr (Ops::kVersioned && Ops::kSharedMode) {
-    lock.ReadCriticalHybrid(f);
-    return true;
-  } else if constexpr (Ops::kVersioned) {
+  if constexpr (Ops::kVersioned) {
     uint64_t v;
     if (!Ops::StableVersion(lock, v)) return false;
     f();

@@ -1708,13 +1708,13 @@ class BTree {
     return LeafWriteStatus::kDone;
   }
 
-  // Releases the victim of a leaf merge: marked obsolete where the family
-  // supports it, so parked optimistic readers fail fast. A reader-writer
+  // Releases the victim of a leaf merge: marked obsolete in a versioned
+  // family, so parked optimistic readers fail fast. A reader-writer
   // leaf is released plainly; every waiter on it fails its parent
   // validation afterwards.
   static void UnlockLeafMerged(Leaf* victim, typename LeafOps::ExHandle h)
       OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-    if constexpr (LeafOps::kHasObsolete) {
+    if constexpr (LeafOps::kVersioned) {
       LeafOps::UnlockExObsolete(victim->lock, h);
     } else {
       LeafOps::UnlockEx(victim->lock, h);
@@ -1908,13 +1908,13 @@ class BTree {
     }
     bool owns() const { return owns_; }
 
-    // Releases the leaf. `installed` == false releases without a version
-    // bump where the family supports it, so pure-abort unlocks do not
-    // invalidate concurrent readers.
+    // Releases the leaf. `installed` == false releases a versioned leaf
+    // without a version bump, so pure-abort unlocks do not invalidate
+    // concurrent readers.
     void Unlock(bool installed) {
       if (!owns_) return;
       owns_ = false;
-      if constexpr (LeafOps::kHasNoBump) {
+      if constexpr (LeafOps::kVersioned) {
         if (!installed) {
           LeafOps::UnlockExNoBump(leaf_->lock, handle_);
           return;

@@ -10,7 +10,7 @@
 // All lock access goes through TxnOps<Lock> (sync/txn_ops.h), so any family
 // in that contract can serve as the bucket lock:
 //
-//   * versioned families (OptLock, OptiQL, OptiCLH) — readers walk the
+//   * versioned families (OptLock, OptiQL) — readers walk the
 //     chain optimistically, validating every pointer against the bucket
 //     version before dereferencing it; writers hold the lock exclusively.
 //   * shared-mode families (MCS-RW, shared_mutex) — readers hold the
@@ -52,7 +52,7 @@ struct HashOptiQlPolicy {
   using Lock = QlLock;
 };
 
-// Any lock family in the TxnOps contract (e.g. OptiCLH, McsRwLock).
+// Any lock family in the TxnOps contract (e.g. McsRwLock).
 template <class L>
 struct HashLockPolicy {
   using Lock = L;
@@ -323,13 +323,13 @@ class HashTable {
     }
     bool owns() const { return owns_; }
 
-    // Releases the bucket. `installed` == false releases without a version
-    // bump where the family supports it, so pure-abort unlocks do not
+    // Releases the bucket. `installed` == false releases a versioned
+    // bucket without a version bump, so pure-abort unlocks do not
     // invalidate concurrent readers.
     void Unlock(bool installed) {
       if (!owns_) return;
       owns_ = false;
-      if constexpr (Ops::kHasNoBump) {
+      if constexpr (Ops::kVersioned) {
         if (!installed) {
           Ops::UnlockExNoBump(bucket_->lock, handle_);
           return;

@@ -69,8 +69,6 @@ namespace {
 // pool accounting stays exact across thread churn.
 struct OPTIQL_CACHELINE_ALIGNED ThreadQNodeCache {
   QNode* direct[ThreadQNodes::kNodesPerThread] = {};
-  QNode* stack[ThreadQNodeStack::kMaxCached] = {};
-  int stack_size = 0;
   bool exit_hook_armed = false;
 };
 
@@ -85,8 +83,6 @@ void FlushQNodeCache(void* arg) {
       node = nullptr;
     }
   }
-  for (int i = 0; i < cache.stack_size; ++i) pool.Release(cache.stack[i]);
-  cache.stack_size = 0;
   cache.exit_hook_armed = false;
   // Exit hooks run on the exiting thread, so this clears its own shortcut.
   qnode_internal::t_direct_slots = nullptr;
@@ -102,33 +98,6 @@ ThreadQNodeCache& LocalQNodeCache() {
 }
 
 }  // namespace
-
-QNode* ThreadQNodeStack::Pop() {
-#if defined(OPTIQL_MODEL) && OPTIQL_MODEL
-  if (QNode* node = model::ScenarioPopQNode()) return node;
-#endif
-  ThreadQNodeCache& cache = LocalQNodeCache();
-  if (cache.stack_size > 0) {
-    QNode* node = cache.stack[--cache.stack_size];
-    node->Reset();
-    return node;
-  }
-  QNode* node = QNodePool::Instance().Acquire();
-  OPTIQL_CHECK(node != nullptr);
-  return node;
-}
-
-void ThreadQNodeStack::Push(QNode* node) {
-#if defined(OPTIQL_MODEL) && OPTIQL_MODEL
-  if (model::ScenarioPushQNode(node)) return;
-#endif
-  ThreadQNodeCache& cache = LocalQNodeCache();
-  if (cache.stack_size < kMaxCached) {
-    cache.stack[cache.stack_size++] = node;
-  } else {
-    QNodePool::Instance().Release(node);
-  }
-}
 
 QNode* ThreadQNodes::Fill(int i) {
   ThreadQNodeCache& cache = LocalQNodeCache();

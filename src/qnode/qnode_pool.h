@@ -175,24 +175,6 @@ class ThreadQNodes {
   static QNode* Fill(int i);
 };
 
-// Thread-local stack of owned queue nodes for locks whose queue nodes
-// migrate between threads (CLH-style: a releasing holder abandons its node
-// to the successor and adopts its predecessor's). Pop hands out an owned
-// node (refilling from the global pool when empty); Push takes ownership
-// back (spilling to the pool past a small cap). Nodes still come from the
-// one contiguous pool array, so ID translation keeps working.
-class ThreadQNodeStack {
- public:
-  static constexpr int kMaxCached = 8;
-
-  // Pops an owned node, reset and ready to use. Aborts if the global pool
-  // is exhausted.
-  static QNode* Pop();
-
-  // Takes ownership of `node` (e.g., an adopted predecessor node).
-  static void Push(QNode* node);
-};
-
 // RAII convenience for callers that want an explicit, scoped queue node
 // rather than the thread-local cache (e.g., tests exercising pool pressure).
 class QNodeGuard {

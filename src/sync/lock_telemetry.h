@@ -1,8 +1,8 @@
-// Lock telemetry: process-wide counters for the events that drive (and
-// evaluate) contention adaptation — optimistic restarts, pessimistic
-// fallbacks, exclusive-acquire waits, and the latch-free leaf update paths.
+// Lock telemetry: process-wide counters for the lock contention events —
+// optimistic restarts, exclusive-acquire waits, and the latch-free leaf
+// update paths.
 //
-// Design constraints (ISSUE 6 tentpole):
+// Design constraints:
 //  * Compiled out by default. Counting sites call LockTelemetry::Count(...)
 //    unconditionally; with OPTIQL_LOCK_TELEMETRY undefined the body is an
 //    `if constexpr (false)` and the call vanishes. Enabled via
@@ -40,9 +40,6 @@ class LockTelemetry {
     // An optimistic read section failed validation (ReleaseSh mismatch or
     // AcquireSh on a locked/obsolete word) and the caller must restart.
     kOptimisticRestart = 0,
-    // A read entered a pessimistic mode (shared count / queued) after the
-    // optimistic policy gave up.
-    kPessimisticFallback,
     // An exclusive acquisition found the lock held and had to wait (counted
     // once per contended acquisition, not per spin iteration).
     kExclusiveWait,
@@ -60,7 +57,6 @@ class LockTelemetry {
 
     uint64_t operator[](Counter c) const { return counts[c]; }
     uint64_t restarts() const { return counts[kOptimisticRestart]; }
-    uint64_t fallbacks() const { return counts[kPessimisticFallback]; }
     uint64_t waits() const { return counts[kExclusiveWait]; }
   };
 
@@ -118,7 +114,6 @@ class LockTelemetry {
   static const char* Name(Counter c) {
     switch (c) {
       case kOptimisticRestart: return "optimistic_restarts";
-      case kPessimisticFallback: return "pessimistic_fallbacks";
       case kExclusiveWait: return "exclusive_waits";
       case kInPlaceUpdate: return "inplace_updates";
       case kInPlaceFallback: return "inplace_fallbacks";

@@ -6,11 +6,11 @@
 //
 //   kName                        display name (the paper's legend)
 //
-//   Optimistic read (versioned families: OptLock, OptiQL, OptiCLH, Hybrid)
+//   Optimistic read (versioned families: OptLock, OptiQL)
 //     StableVersion(lock, v)     snapshot the word; false = locked/retired
 //     ValidateVersion(lock, v)   seqlock validation: whole word unchanged
 //     SnapshotVersion(word)      the version component of a snapshot
-//     IsObsolete(lock)           retired-object probe (where supported)
+//     IsObsolete(lock)           retired-object probe
 //
 //   Exclusive mode (LockEx/UnlockEx: every family; the rest where the
 //   family supports it)
@@ -24,10 +24,10 @@
 //                                         this lock must carry while WE
 //                                         hold it (OCC self-held reads)
 //
-//   Shared mode (pessimistic reader modes: MCS-RW, shared_mutex, Hybrid)
+//   Shared mode (pessimistic reader modes: MCS-RW, shared_mutex)
 //     LockSh/UnlockSh(lock, slot)         blocking (RW leaves, ART coupling)
-//     TryLockSh(lock) -> bool             no-wait, queue-less (txn reads;
-//     UnlockShNoQueue(lock)               MCS-RW and shared_mutex only)
+//     TryLockSh(lock) -> bool             no-wait, queue-less (txn reads)
+//     UnlockShNoQueue(lock)
 //     TryUpgradeSh(lock, slot, n, h)      atomically convert the caller's n
 //                                         queue-less shared holds into an
 //                                         exclusive hold (kHasShUpgrade)
@@ -36,28 +36,26 @@
 // locks and is ignored by centralized ones; index ops use slots 0..2
 // (lock pairs alternate 0/1, rebalance siblings take 1 or 2), the txn
 // layer owns slots ThreadQNodes::kTxnSlotBase and up. ExHandle is a trivially
-// copyable token: empty for centralized locks, the queue node for MCS
-// descendants (the CLH families' handle is the node AcquireEx *returns*,
-// which is not the one passed in — CLH queue nodes migrate). The
-// reader-writer families also keep a slot-based UnlockEx(lock, slot) for
-// the ART coupling trees, which release by depth slot rather than by
-// handle.
+// copyable token: empty for centralized locks, the caller's own queue node
+// for MCS descendants. The reader-writer families also keep a slot-based
+// UnlockEx(lock, slot) for the ART coupling trees, which release by depth
+// slot rather than by handle.
 //
 // Capability dispatch is by `if constexpr` on the flags:
-//   kVersioned     optimistic read surface exists; the word doubles as the
-//                  Silo-style OCC timestamp (no shadow version table)
+//   kVersioned     the whole optimistic surface above exists: snapshots,
+//                  the retired-object marker and the no-bump release. The
+//                  word doubles as the Silo-style OCC timestamp (no shadow
+//                  version table). Without it a reader parked on an
+//                  unlinked node cannot tell; the B+-tree's RW leaves
+//                  re-validate the parent instead.
 //   kSharedMode    pessimistic shared mode exists
 //   kHasShUpgrade  TryUpgradeSh supported (a shared-mode family without it
 //                  cannot host 2PL read-then-write on one record)
-//   kHasNoBump     UnlockExNoBump supported
-//   kHasObsolete   UnlockExObsolete / IsObsolete supported (without it a
-//                  reader parked on an unlinked node cannot tell; the
-//                  B+-tree's RW leaves re-validate the parent instead)
-// A family with neither read surface (TTS, Ticket, MCS, CLH) serves reads
-// by taking the exclusive lock.
+// A family with neither read surface (TTS, Ticket, MCS) serves reads by
+// taking the exclusive lock.
 //
 // TSA annotations appear on the specializations of annotated capability
-// types (TTS, Ticket, MCS, CLH, MCS-RW, shared_mutex) and forward the
+// types (TTS, Ticket, MCS, MCS-RW, shared_mutex) and forward the
 // capability through the facade: TSA sees `TxnOps<L>::LockEx(lock, slot)`
 // acquire `lock` itself, so callers are checked as if they had called the
 // lock. The optimistic families' read side is not expressible in TSA and
@@ -71,10 +69,7 @@
 #include <type_traits>
 
 #include "common/annotations.h"
-#include "core/opticlh.h"
 #include "core/optiql.h"
-#include "locks/clh_lock.h"
-#include "locks/hybrid_lock.h"
 #include "locks/mcs_lock.h"
 #include "locks/mcs_rw_lock.h"
 #include "locks/optlock.h"
@@ -122,8 +117,6 @@ struct TxnOps<BasicOptLock<BackoffPolicy>> {
   static constexpr bool kVersioned = true;
   static constexpr bool kSharedMode = false;
   static constexpr bool kHasShUpgrade = false;
-  static constexpr bool kHasNoBump = true;
-  static constexpr bool kHasObsolete = true;
 
   static bool StableVersion(const Lock& lock, uint64_t& v) {
     return lock.AcquireSh(v);
@@ -171,8 +164,6 @@ struct TxnOps<BasicOptiQL<kEnableOpRead>> {
   static constexpr bool kVersioned = true;
   static constexpr bool kSharedMode = false;
   static constexpr bool kHasShUpgrade = false;
-  static constexpr bool kHasNoBump = true;
-  static constexpr bool kHasObsolete = true;
 
   static bool StableVersion(const Lock& lock, uint64_t& v) {
     return lock.AcquireSh(v);
@@ -221,96 +212,6 @@ struct TxnOps<BasicOptiQL<kEnableOpRead>> {
   }
 };
 
-// --- OptiCLH: CLH-queued; the acquisition handle is the node AcquireEx ----
-// returns (queue nodes migrate to the successor). No obsolete marker: this
-// family cannot guard nodes that get unlinked under concurrency.
-
-template <>
-struct TxnOps<OptiCLH> {
-  using Lock = OptiCLH;
-  using ExHandle = QNodeExHandle;
-  static constexpr const char* kName = "OptiCLH";
-  static constexpr bool kVersioned = true;
-  static constexpr bool kSharedMode = false;
-  static constexpr bool kHasShUpgrade = false;
-  static constexpr bool kHasNoBump = false;
-  static constexpr bool kHasObsolete = false;
-
-  static bool StableVersion(const Lock& lock, uint64_t& v) {
-    return lock.AcquireSh(v);
-  }
-  static bool ValidateVersion(const Lock& lock, uint64_t v) {
-    return lock.ReleaseSh(v);
-  }
-  static uint64_t SnapshotVersion(uint64_t word) {
-    return Lock::VersionOf(word);
-  }
-
-  static ExHandle LockEx(Lock& lock, int /*slot*/) {
-    return {lock.AcquireEx()};
-  }
-  static bool TryLockEx(Lock& lock, int /*slot*/, ExHandle& handle) {
-    QNode* node = lock.TryAcquireEx();
-    if (node == nullptr) return false;
-    handle = {node};
-    return true;
-  }
-  static bool TryUpgrade(Lock& lock, uint64_t v, int /*slot*/,
-                         ExHandle& handle) {
-    QNode* node = lock.TryUpgrade(v);
-    if (node == nullptr) return false;
-    handle = {node};
-    return true;
-  }
-  static void UnlockEx(Lock& lock, ExHandle handle) {
-    lock.ReleaseEx(handle.node);
-  }
-  // OptiCLH grants carry NextVersion(snapshot) in the handle's aux field.
-  static uint64_t HeldVersion(const Lock&, const ExHandle& handle) {
-    return (handle.node->aux.load(std::memory_order_relaxed) +
-            Lock::kVersionMask) &
-           Lock::kVersionMask;
-  }
-};
-
-// --- HybridLock: centralized word with both an optimistic and a ----------
-// pessimistic shared read mode (Böttcher et al.). Reads that combine the two
-// go through the lock's own ReadCriticalHybrid policy.
-
-template <>
-struct TxnOps<HybridLock> {
-  using Lock = HybridLock;
-  using ExHandle = NoExHandle;
-  static constexpr const char* kName = "Hybrid";
-  static constexpr bool kVersioned = true;
-  static constexpr bool kSharedMode = true;
-  static constexpr bool kHasShUpgrade = false;
-  static constexpr bool kHasNoBump = false;
-  static constexpr bool kHasObsolete = false;
-
-  static bool StableVersion(const Lock& lock, uint64_t& v) {
-    return lock.AcquireSh(v);
-  }
-  static bool ValidateVersion(const Lock& lock, uint64_t v) {
-    return lock.ReleaseSh(v);
-  }
-  static uint64_t SnapshotVersion(uint64_t word) {
-    return word & Lock::kVersionMask;
-  }
-
-  static void LockSh(Lock& lock, int /*slot*/) {
-    lock.AcquireShPessimistic();
-  }
-  static void UnlockSh(Lock& lock, int /*slot*/) {
-    lock.ReleaseShPessimistic();
-  }
-  static ExHandle LockEx(Lock& lock, int /*slot*/) {
-    lock.AcquireEx();
-    return {};
-  }
-  static void UnlockEx(Lock& lock, ExHandle) { lock.ReleaseEx(); }
-};
-
 // --- Exclusive-only centralized locks: TTS, TTS-backoff, Ticket ------------
 
 template <class L>
@@ -320,8 +221,6 @@ struct CentralizedExclusiveTxnOps {
   static constexpr bool kVersioned = false;
   static constexpr bool kSharedMode = false;
   static constexpr bool kHasShUpgrade = false;
-  static constexpr bool kHasNoBump = false;
-  static constexpr bool kHasObsolete = false;
 
   static ExHandle LockEx(Lock& lock, int /*slot*/) OPTIQL_ACQUIRE(lock) {
     lock.AcquireEx();
@@ -344,8 +243,7 @@ struct TxnOps<TicketLock> : CentralizedExclusiveTxnOps<TicketLock> {
   static constexpr const char* kName = "Ticket";
 };
 
-// --- Exclusive-only queue locks: MCS (thread-owned node), CLH (migrating
-// node, returned by AcquireEx) ----------------------------------------------
+// --- Exclusive-only queue lock: MCS (thread-owned node) -------------------
 
 template <>
 struct TxnOps<McsLock> {
@@ -355,32 +253,11 @@ struct TxnOps<McsLock> {
   static constexpr bool kVersioned = false;
   static constexpr bool kSharedMode = false;
   static constexpr bool kHasShUpgrade = false;
-  static constexpr bool kHasNoBump = false;
-  static constexpr bool kHasObsolete = false;
 
   static ExHandle LockEx(Lock& lock, int slot) OPTIQL_ACQUIRE(lock) {
     QNode* node = ThreadQNodes::Get(slot);
     lock.AcquireEx(node);
     return {node};
-  }
-  static void UnlockEx(Lock& lock, ExHandle handle) OPTIQL_RELEASE(lock) {
-    lock.ReleaseEx(handle.node);
-  }
-};
-
-template <>
-struct TxnOps<ClhLock> {
-  using Lock = ClhLock;
-  using ExHandle = QNodeExHandle;
-  static constexpr const char* kName = "CLH";
-  static constexpr bool kVersioned = false;
-  static constexpr bool kSharedMode = false;
-  static constexpr bool kHasShUpgrade = false;
-  static constexpr bool kHasNoBump = false;
-  static constexpr bool kHasObsolete = false;
-
-  static ExHandle LockEx(Lock& lock, int /*slot*/) OPTIQL_ACQUIRE(lock) {
-    return {lock.AcquireEx()};
   }
   static void UnlockEx(Lock& lock, ExHandle handle) OPTIQL_RELEASE(lock) {
     lock.ReleaseEx(handle.node);
@@ -397,8 +274,6 @@ struct TxnOps<McsRwLock> {
   static constexpr bool kVersioned = false;
   static constexpr bool kSharedMode = true;
   static constexpr bool kHasShUpgrade = true;
-  static constexpr bool kHasNoBump = false;
-  static constexpr bool kHasObsolete = false;
 
   // Slot-based blocking surface (RW-leaf B+-trees, ART coupling).
   static void LockSh(Lock& lock, int slot) OPTIQL_ACQUIRE_SHARED(lock) {
@@ -460,8 +335,6 @@ struct TxnOps<SharedMutexLock> {
   // std::shared_mutex has no atomic upgrade, so this family cannot host
   // 2PL read-then-write on one record (TxnSharedReadHost excludes it).
   static constexpr bool kHasShUpgrade = false;
-  static constexpr bool kHasNoBump = false;
-  static constexpr bool kHasObsolete = false;
 
   static void LockSh(Lock& lock, int /*slot*/) OPTIQL_ACQUIRE_SHARED(lock) {
     lock.AcquireSh();

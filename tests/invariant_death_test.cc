@@ -12,13 +12,10 @@
 #include <cstdint>
 
 #include "btree_test_peer.h"
-#include "core/opticlh.h"
 #include "core/optiql.h"
 #include "gtest/gtest.h"
 #include "index/btree.h"
 #include "index/hash_table.h"
-#include "locks/clh_lock.h"
-#include "locks/hybrid_lock.h"
 #include "locks/mcs_lock.h"
 #include "locks/mcs_rw_lock.h"
 #include "locks/optlock.h"
@@ -119,13 +116,6 @@ TEST_F(InvariantDeathTest, McsRwReleaseShWithoutAcquire) {
   EXPECT_DEATH(lock.ReleaseSh(guard.node()), kDeathMessage);
 }
 
-TEST_F(InvariantDeathTest, ClhDoubleRelease) {
-  ClhLock lock;
-  QNode* handle = lock.AcquireEx();
-  lock.ReleaseEx(handle);
-  EXPECT_DEATH(lock.ReleaseEx(handle), kDeathMessage);
-}
-
 TEST_F(InvariantDeathTest, OptiQlDoubleRelease) {
   OptiQL lock;
   QNodeGuard guard;
@@ -161,48 +151,6 @@ TEST_F(InvariantDeathTest, QNodePoolDoubleRelease) {
   pool.Release(node);
   EXPECT_DEATH(pool.Release(node), kDeathMessage);
   // Leave the node in the pool (released exactly once in this process).
-}
-
-TEST_F(InvariantDeathTest, OptiClhDoubleRelease) {
-  OptiCLH lock;
-  QNode* handle = lock.AcquireEx();
-  lock.ReleaseEx(handle);
-  EXPECT_DEATH(lock.ReleaseEx(handle), kDeathMessage);
-}
-
-// --- Hybrid lock mode-transition legality ---
-
-TEST_F(InvariantDeathTest, HybridReleaseExWithoutAcquire) {
-  HybridLock lock;
-  EXPECT_DEATH(lock.ReleaseEx(), kDeathMessage);
-}
-
-TEST_F(InvariantDeathTest, HybridDoubleReleaseEx) {
-  HybridLock lock;
-  lock.AcquireEx();
-  lock.ReleaseEx();
-  EXPECT_DEATH(lock.ReleaseEx(), kDeathMessage);
-}
-
-// Underflows the shared count into the version field, which would silently
-// invalidate every optimistic snapshot on the lock.
-TEST_F(InvariantDeathTest, HybridReleaseShPessimisticWithoutAcquire) {
-  HybridLock lock;
-  EXPECT_DEATH(lock.ReleaseShPessimistic(), kDeathMessage);
-}
-
-// The 15-bit shared count saturates at 2^15-1 readers; one more increment
-// would carry into the exclusive bit and fabricate a writer. Registration
-// is a CAS, so one thread can legally stack up all 32767 registrations.
-TEST_F(InvariantDeathTest, HybridPessimisticReaderOverflow) {
-  HybridLock lock;
-  const uint32_t max_readers =
-      static_cast<uint32_t>(HybridLock::kSharedMask >>
-                            HybridLock::kSharedShift);
-  for (uint32_t i = 0; i < max_readers; ++i) lock.AcquireShPessimistic();
-  ASSERT_EQ(lock.SharedCount(), max_readers);
-  EXPECT_DEATH(lock.AcquireShPessimistic(), kDeathMessage);
-  for (uint32_t i = 0; i < max_readers; ++i) lock.ReleaseShPessimistic();
 }
 
 // --- B+-tree SMO ordering ---

@@ -30,8 +30,7 @@ struct LockList {
 
 using AllLocks =
     LockList<TtsLock, TtsBackoffLock, TicketLock, OptLock, OptBackoffLock,
-             McsLock, McsRwLock, SharedMutexLock, OptiQL, OptiQLNor, ClhLock,
-             OptiCLH, HybridLock>;
+             McsLock, McsRwLock, SharedMutexLock, OptiQL, OptiQLNor>;
 static_assert(AllLocks::kAllInContract,
               "every lock family needs a TxnOps specialization with kName");
 using AllLockTypes = AllLocks::Types;

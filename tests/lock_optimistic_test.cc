@@ -17,8 +17,8 @@ namespace {
 template <class Lock>
 class OptimisticLockTest : public ::testing::Test {};
 
-using OptimisticTypes = ::testing::Types<OptLock, OptBackoffLock, OptiQL,
-                                         OptiQLNor, OptiCLH>;
+using OptimisticTypes =
+    ::testing::Types<OptLock, OptBackoffLock, OptiQL, OptiQLNor>;
 TYPED_TEST_SUITE(OptimisticLockTest, OptimisticTypes);
 
 TYPED_TEST(OptimisticLockTest, FreeLockAdmitsAndValidatesReader) {

@@ -1,19 +1,20 @@
-// Telemetry counter exactness (ISSUE 6 tentpole plumbing). Every counting
-// site fires once per *event*, not per spin iteration, so a replayed
-// single-threaded scenario has an exact expected count — these tests pin
-// those contracts. In default builds (OPTIQL_LOCK_TELEMETRY off) the
-// counting is compiled out; the suite then verifies the counters stay
-// zero and skips the exactness checks. The telemetry CI job re-runs it
-// with -DOPTIQL_LOCK_TELEMETRY=ON where the exact counts are enforced.
+// Telemetry counter exactness. Every counting site fires once per *event*,
+// not per spin iteration, so a replayed scenario has an exact expected
+// count — these tests pin those contracts. In default builds
+// (OPTIQL_LOCK_TELEMETRY off) the counting is compiled out; the suite then
+// verifies the counters stay zero and skips the exactness checks. The
+// telemetry CI job re-runs it with -DOPTIQL_LOCK_TELEMETRY=ON where the
+// exact counts are enforced.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <thread>
 
 #include "index/btree.h"
-#include "locks/hybrid_lock.h"
 #include "locks/optlock.h"
 #include "sync/lock_telemetry.h"
+#include "sync/txn_ops.h"
 
 namespace optiql {
 namespace {
@@ -44,8 +45,6 @@ TEST(LockTelemetryTest, NamesAreStable) {
   // The bench layer keys JSON fields off these; renames break consumers.
   EXPECT_STREQ(LockTelemetry::Name(LockTelemetry::kOptimisticRestart),
                "optimistic_restarts");
-  EXPECT_STREQ(LockTelemetry::Name(LockTelemetry::kPessimisticFallback),
-               "pessimistic_fallbacks");
   EXPECT_STREQ(LockTelemetry::Name(LockTelemetry::kExclusiveWait),
                "exclusive_waits");
   EXPECT_STREQ(LockTelemetry::Name(LockTelemetry::kInPlaceUpdate),
@@ -71,53 +70,36 @@ TEST(LockTelemetryTest, OptLockRestartExactness) {
 
   const LockTelemetry::Snapshot s = LockTelemetry::Take();
   EXPECT_EQ(s.restarts(), 2u);
-  EXPECT_EQ(s.fallbacks(), 0u);
   EXPECT_EQ(s.waits(), 0u);
 }
 
-TEST(LockTelemetryTest, HybridFallbackExactness) {
-  SKIP_UNLESS_TELEMETRY();
+// One wait per contended acquire, however long the contender spins, and
+// the contender's slot folds into the totals when its thread exits.
+template <class Lock>
+void ExclusiveWaitCountedOnce() {
+  using Ops = TxnOps<Lock>;
   LockTelemetry::Reset();
-  HybridLock lock;
-
-  // Self-invalidate the first kOptimisticAttempts validations, then let
-  // the pessimistic leg run clean: exactly kOptimisticAttempts restarts
-  // and exactly one fallback, with zero waits (every AcquireEx below is
-  // uncontended).
-  int calls = 0;
-  const bool fell_back = lock.ReadCriticalHybrid([&] {
-    if (calls < HybridLock::kOptimisticAttempts) {
-      lock.AcquireEx();
-      lock.ReleaseEx();
-    }
-    ++calls;
+  Lock lock;
+  const auto held = Ops::LockEx(lock, /*slot=*/0);  // Uncontended: 0 waits.
+  std::thread contender([&] {
+    Ops::UnlockEx(lock, Ops::LockEx(lock, /*slot=*/0));  // Contended.
   });
-  EXPECT_TRUE(fell_back);
-  EXPECT_EQ(calls, HybridLock::kOptimisticAttempts + 1);
+  // The wait is counted before the contender spins: hold the lock until it
+  // shows, then let the contender spin a while longer.
+  while (LockTelemetry::Take().waits() == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Ops::UnlockEx(lock, held);
+  contender.join();  // Thread exit folds its slot into the retired totals.
 
   const LockTelemetry::Snapshot s = LockTelemetry::Take();
-  EXPECT_EQ(s.restarts(),
-            static_cast<uint64_t>(HybridLock::kOptimisticAttempts));
-  EXPECT_EQ(s.fallbacks(), 1u);
-  EXPECT_EQ(s.waits(), 0u);
+  EXPECT_EQ(s.waits(), 1u) << Ops::kName;
+  EXPECT_EQ(s.restarts(), 0u) << Ops::kName;
 }
 
 TEST(LockTelemetryTest, ExclusiveWaitCountedOncePerContendedAcquire) {
   SKIP_UNLESS_TELEMETRY();
-  LockTelemetry::Reset();
-  HybridLock lock;
-  lock.AcquireEx();  // Uncontended: 0 waits.
-  std::thread contender([&] {
-    lock.AcquireEx();  // Contended: exactly 1 wait, however long it spins.
-    lock.ReleaseEx();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  lock.ReleaseEx();
-  contender.join();  // Thread exit folds its slot into the retired totals.
-
-  const LockTelemetry::Snapshot s = LockTelemetry::Take();
-  EXPECT_EQ(s.waits(), 1u);
-  EXPECT_EQ(s.restarts(), 0u);
+  ExclusiveWaitCountedOnce<OptLock>();
+  ExclusiveWaitCountedOnce<OptiQL>();
 }
 
 // Single-threaded replay: every Update of an existing key must take the

@@ -3,7 +3,7 @@
 //  * Conservation: after T threads each complete N exclusive critical
 //    sections over L locks, the per-lock counters sum to T*N and every
 //    lock ends free.
-//  * Version accounting: an OptiQL/OptiCLH lock's final version equals the
+//  * Version accounting: an OptiQL lock's final version equals the
 //    number of exclusive critical sections executed on it, regardless of
 //    interleaving, handover pattern, or upgrade usage.
 //  * Reader soundness: concurrent optimistic readers never validate a torn
@@ -69,11 +69,9 @@ TEST_P(LockGridTest, ConservationAcrossLockTypes) {
   RunConservationSweep<TicketLock>(param);
   RunConservationSweep<OptLock>(param);
   RunConservationSweep<McsLock>(param);
-  RunConservationSweep<ClhLock>(param);
   RunConservationSweep<McsRwLock>(param);
   RunConservationSweep<OptiQL>(param);
   RunConservationSweep<OptiQLNor>(param);
-  RunConservationSweep<OptiCLH>(param);
 }
 
 TEST_P(LockGridTest, OptiQlVersionCountsCriticalSections) {
@@ -110,34 +108,6 @@ TEST_P(LockGridTest, OptiQlVersionCountsCriticalSections) {
   for (const auto& slot : slots) {
     EXPECT_FALSE(slot.lock.IsLockedEx());
     EXPECT_EQ(OptiQL::VersionOf(slot.lock.LoadWord()),
-              slot.acquisitions.load());
-  }
-}
-
-TEST_P(LockGridTest, OptiClhVersionCountsCriticalSections) {
-  const GridParam param = GetParam();
-  struct Slot {
-    OptiCLH lock;
-    std::atomic<uint64_t> acquisitions{0};
-  };
-  std::vector<Slot> slots(static_cast<size_t>(param.num_locks));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < param.threads; ++t) {
-    threads.emplace_back([&, t] {
-      Xoshiro256 rng(static_cast<uint64_t>(t) * 104729 + 11);
-      for (int i = 0; i < param.ops_per_thread; ++i) {
-        Slot& slot =
-            slots[rng.NextBounded(static_cast<uint64_t>(param.num_locks))];
-        QNode* handle = slot.lock.AcquireEx();
-        slot.acquisitions.fetch_add(1, std::memory_order_relaxed);
-        slot.lock.ReleaseEx(handle);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& slot : slots) {
-    EXPECT_FALSE(slot.lock.IsLockedEx());
-    EXPECT_EQ(OptiCLH::VersionOf(slot.lock.LoadWord()),
               slot.acquisitions.load());
   }
 }

@@ -23,7 +23,6 @@
 #include "common/annotations.h"
 #include "index/art_coupling.h"
 #include "index/btree.h"
-#include "locks/clh_lock.h"
 #include "locks/mcs_lock.h"
 #include "locks/mcs_rw_lock.h"
 #include "locks/optlock.h"
@@ -102,12 +101,6 @@ void McsCorrect() {
   if (lock.TryAcquireEx(guard.node())) lock.ReleaseEx(guard.node());
 }
 
-void ClhCorrect() {
-  ClhLock lock;
-  QNode* handle = lock.AcquireEx();
-  lock.ReleaseEx(handle);
-}
-
 void McsRwCorrect() {
   McsRwLock lock;
   QNodeGuard guard;
@@ -146,7 +139,6 @@ void TxnOpsExclusiveFamiliesCorrect() {
   TxnOpsExclusiveCorrect<TtsBackoffLock>();
   TxnOpsExclusiveCorrect<TicketLock>();
   TxnOpsExclusiveCorrect<McsLock>();
-  TxnOpsExclusiveCorrect<ClhLock>();
 }
 
 void TxnOpsCorrect() {

@@ -14,7 +14,7 @@
 //
 // Suite naming feeds the TSan exclusion globs in tests/CMakeLists.txt:
 // the concurrent typed suites are TxnOcc*/TxnTwoPl* with instance names
-// carrying the lock family (Olc/OptiQl/OptiClh), so versioned-host
+// carrying the lock family (Olc/OptiQl), so versioned-host
 // instances are filtered under TSan while the pessimistic MCS-RW host
 // instance still runs there.
 
@@ -24,7 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/opticlh.h"
 #include "core/optiql.h"
 #include "gtest/gtest.h"
 #include "index/btree.h"
@@ -42,7 +41,6 @@ using OptiQlTree =
     BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL, /*kAor=*/false>>;
 using OlcHash = HashTable<HashOlcPolicy>;
 using OptiQlHash = HashTable<HashOptiQlPolicy<>>;
-using OptiClhHash = HashTable<HashLockPolicy<OptiCLH>>;
 using McsRwHash = HashTable<HashLockPolicy<McsRwLock>>;
 using ShardedOptiQlTree = ShardedStore<OptiQlTree>;
 using ShardedOlcHash = ShardedStore<OlcHash>;
@@ -51,7 +49,6 @@ static_assert(TxnVersionedHost<OlcTree>);
 static_assert(TxnVersionedHost<OptiQlTree>);
 static_assert(TxnVersionedHost<OlcHash>);
 static_assert(TxnVersionedHost<OptiQlHash>);
-static_assert(TxnVersionedHost<OptiClhHash>);
 static_assert(TxnVersionedHost<ShardedOptiQlTree>);
 static_assert(TxnVersionedHost<ShardedOlcHash>);
 static_assert(!TxnVersionedHost<McsRwHash>);
@@ -146,9 +143,6 @@ TEST(TxnSerialTest, OccOlcHash) { SerialDifferential<OlcHash, OccTxn<OlcHash>>()
 TEST(TxnSerialTest, OccOptiQlHash) {
   SerialDifferential<OptiQlHash, OccTxn<OptiQlHash>>();
 }
-TEST(TxnSerialTest, OccOptiClhHash) {
-  SerialDifferential<OptiClhHash, OccTxn<OptiClhHash>>();
-}
 TEST(TxnSerialTest, OccShardedOptiQlTree) {
   SerialDifferential<ShardedOptiQlTree, OccTxn<ShardedOptiQlTree>>();
 }
@@ -163,9 +157,6 @@ TEST(TxnSerialTest, TwoPlOlcHash) {
 }
 TEST(TxnSerialTest, TwoPlOptiQlHash) {
   SerialDifferential<OptiQlHash, TwoPlTxn<OptiQlHash>>();
-}
-TEST(TxnSerialTest, TwoPlOptiClhHash) {
-  SerialDifferential<OptiClhHash, TwoPlTxn<OptiClhHash>>();
 }
 TEST(TxnSerialTest, TwoPlMcsRwHash) {
   SerialDifferential<McsRwHash, TwoPlTxn<McsRwHash>>();
@@ -249,9 +240,6 @@ TEST(TxnOccConcurrentTest, OlcHash) {
 }
 TEST(TxnOccConcurrentTest, OptiQlHash) {
   ConcurrentTransfers<OptiQlHash, OccTxn<OptiQlHash>>(4);
-}
-TEST(TxnOccConcurrentTest, OptiClhHash) {
-  ConcurrentTransfers<OptiClhHash, OccTxn<OptiClhHash>>(4);
 }
 TEST(TxnOccConcurrentTest, ShardedOptiQlTree) {
   ConcurrentTransfers<ShardedOptiQlTree, OccTxn<ShardedOptiQlTree>>(4);

@@ -4,10 +4,7 @@
 
 #include "analysis/model_spec.h"
 #include "common/check.h"
-#include "core/opticlh.h"
 #include "core/optiql.h"
-#include "locks/clh_lock.h"
-#include "locks/hybrid_lock.h"
 #include "locks/mcs_lock.h"
 #include "locks/mcs_rw_lock.h"
 #include "locks/optlock.h"
@@ -58,17 +55,6 @@ struct McsOps {
   }
 };
 
-struct ClhOps {
-  static constexpr const char* kLabel = "ClhLock.tail";
-  ClhLock lock;
-  QNode* handle[Runtime::kMaxThreads] = {};
-  void Lock(int tid) { handle[tid] = lock.AcquireEx(); }
-  void Unlock(int tid) { lock.ReleaseEx(handle[tid]); }
-  void CheckFinal(uint64_t) {
-    OPTIQL_INVARIANT(!lock.IsLockedEx(), "queue not empty at end");
-  }
-};
-
 struct OlcOps {
   static constexpr const char* kLabel = "OptLock.word";
   OptLock lock;
@@ -110,19 +96,6 @@ struct OptiQlNorOps {
   }
 };
 
-struct OptiClhOps {
-  static constexpr const char* kLabel = "OptiCLH.word";
-  OptiCLH lock;
-  QNode* handle[Runtime::kMaxThreads] = {};
-  void Lock(int tid) { handle[tid] = lock.AcquireEx(); }
-  void Unlock(int tid) { lock.ReleaseEx(handle[tid]); }
-  void CheckFinal(uint64_t acquisitions) {
-    OPTIQL_INVARIANT(!lock.IsLockedEx(), "word still LOCKED at end");
-    OPTIQL_INVARIANT(OptiCLH::VersionOf(lock.LoadWord()) == acquisitions,
-                     "version not strictly monotonic across CLH handover");
-  }
-};
-
 struct McsRwWriterOps {
   static constexpr const char* kLabel = "McsRwLock.word";
   McsRwLock lock;
@@ -131,17 +104,6 @@ struct McsRwWriterOps {
   void CheckFinal(uint64_t) {
     OPTIQL_INVARIANT(!lock.HasQueue() && lock.ActiveReaders() == 0,
                      "queue/reader state not drained at end");
-  }
-};
-
-struct HybridOps {
-  static constexpr const char* kLabel = "HybridLock.word";
-  HybridLock lock;
-  void Lock(int) { lock.AcquireEx(); }
-  void Unlock(int) { lock.ReleaseEx(); }
-  void CheckFinal(uint64_t) {
-    OPTIQL_INVARIANT(!lock.IsLockedEx() && lock.SharedCount() == 0,
-                     "lock state not drained at end");
   }
 };
 
@@ -588,20 +550,14 @@ std::vector<ScenarioInfo> BuildRegistry() {
       Make<MutexScenario<TicketOps>>(2, 1));
   add("mcs_mutex_2", "MCS lock: 2 writers, 1 section each", 2, false,
       Make<MutexScenario<McsOps>>(2, 1));
-  add("clh_mutex_2", "CLH lock (node migration): 2 writers, 1 section each", 2,
-      false, Make<MutexScenario<ClhOps>>(2, 1));
   add("optlock_mutex_2", "OptLock: 2 writers, 1 section each + version count",
       2, false, Make<MutexScenario<OlcOps>>(2, 1));
   add("optiql_mutex_2", "OptiQL: 2 writers, 1 section each + version count", 2,
       false, Make<MutexScenario<OptiQlOps>>(2, 1));
   add("optiql_nor_mutex_2", "OptiQL-NOR: 2 writers, 1 section each", 2, false,
       Make<MutexScenario<OptiQlNorOps>>(2, 1));
-  add("opticlh_mutex_2", "OptiCLH (node migration): 2 writers, 1 section each",
-      2, false, Make<MutexScenario<OptiClhOps>>(2, 1));
   add("mcsrw_writers_2", "MCS-RW: 2 queued writers", 2, false,
       Make<MutexScenario<McsRwWriterOps>>(2, 1));
-  add("hybrid_mutex_2", "hybrid lock: 2 writers, 1 section each", 2, false,
-      Make<MutexScenario<HybridOps>>(2, 1));
 
   // ...and the paper-central families at 3 threads.
   add("optlock_mutex_3", "OptLock: 3 writers", 3, false,
@@ -619,10 +575,6 @@ std::vector<ScenarioInfo> BuildRegistry() {
   add("optiql_optread_3",
       "OptiQL: 2 writers vs reader (opportunistic-read window)", 3, false,
       Make<OptReadScenario<OptiQlOps>>(3, 1));
-  add("opticlh_optread_2", "OptiCLH: writer vs validating reader", 2, false,
-      Make<OptReadScenario<OptiClhOps>>(2, 1));
-  add("hybrid_optread_2", "hybrid: writer vs validating reader", 2, false,
-      Make<OptReadScenario<HybridOps>>(2, 1));
   add("optiql_nobump_2", "OptiQL ReleaseExNoBump leaves snapshots valid", 2,
       false, Make<OptiQlNoBumpScenario>());
 
