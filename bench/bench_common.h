@@ -19,11 +19,16 @@
 //   --json[=PATH]       also emit results as a JSON array (benches that
 //                       support it write BENCH_<name>.json by default)
 // Environment fallbacks: OPTIQL_BENCH_THREADS, OPTIQL_BENCH_DURATION_MS,
-// OPTIQL_BENCH_RECORDS.
+// OPTIQL_BENCH_RECORDS. An unknown flag, or a thread count, duration or
+// record count (flag or environment) that is not a positive integer, is a
+// usage error: the binary prints the usage line and exits 2 before any
+// worker starts.
 #ifndef OPTIQL_BENCH_BENCH_COMMON_H_
 #define OPTIQL_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -89,24 +94,29 @@ struct BenchFlags {
   static BenchFlags Parse(int argc, char** argv) {
     BenchFlags flags;
     flags.threads = BenchThreadCounts();
-    flags.duration_ms = BenchDurationMs(150);
-    flags.records =
-        static_cast<uint64_t>(EnvInt("OPTIQL_BENCH_RECORDS", 100000));
+    // The sweep fields: each flag with the environment variable that
+    // stands in for it.
+    static constexpr std::pair<const char*, const char*> kSweepFields[] = {
+        {"--threads=", "OPTIQL_BENCH_THREADS"},
+        {"--duration=", "OPTIQL_BENCH_DURATION_MS"},
+        {"--records=", "OPTIQL_BENCH_RECORDS"},
+    };
+    for (const auto& [flag, env] : kSweepFields) {
+      const char* value = std::getenv(env);
+      if (value != nullptr && *value != '\0' &&
+          !flags.SetSweepField(flag, value)) {
+        UsageError(argv[0], (std::string(env) + "=" + value).c_str());
+      }
+    }
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg.rfind("--threads=", 0) == 0) {
-        flags.threads.clear();
-        const char* spec = arg.c_str() + 10;
-        while (*spec != '\0') {
-          flags.threads.push_back(std::atoi(spec));
-          const char* comma = std::strchr(spec, ',');
-          if (comma == nullptr) break;
-          spec = comma + 1;
+      if (arg.rfind("--threads=", 0) == 0 ||
+          arg.rfind("--duration=", 0) == 0 ||
+          arg.rfind("--records=", 0) == 0) {
+        const size_t value = arg.find('=') + 1;
+        if (!flags.SetSweepField(arg.substr(0, value), arg.substr(value))) {
+          UsageError(argv[0], arg.c_str());
         }
-      } else if (arg.rfind("--duration=", 0) == 0) {
-        flags.duration_ms = std::atoi(arg.c_str() + 11);
-      } else if (arg.rfind("--records=", 0) == 0) {
-        flags.records = std::strtoull(arg.c_str() + 10, nullptr, 10);
       } else if (arg.rfind("--dist=", 0) == 0) {
         if (!KeyDist::Parse(arg.substr(7), flags.dist)) {
           std::fprintf(stderr,
@@ -132,11 +142,10 @@ struct BenchFlags {
         flags.json = true;
         flags.json_path = arg.substr(7);
       } else if (arg == "--help" || arg == "-h") {
-        std::printf(
-            "usage: %s [--threads=a,b,c] [--duration=ms] [--records=n] "
-            "[--dist=spec] [--batch=n] [--full] [--json[=path]]\n",
-            argv[0]);
+        PrintUsage(stdout, argv[0]);
         std::exit(0);
+      } else {
+        UsageError(argv[0], arg.c_str());
       }
     }
     return flags;
@@ -146,6 +155,64 @@ struct BenchFlags {
     int max = 1;
     for (int t : threads) max = std::max(max, t);
     return max;
+  }
+
+ private:
+  static void PrintUsage(std::FILE* out, const char* argv0) {
+    std::fprintf(out,
+                 "usage: %s [--threads=a,b,c] [--duration=ms] [--records=n] "
+                 "[--dist=spec] [--batch=n] [--full] [--json[=path]]\n",
+                 argv0);
+  }
+
+  [[noreturn]] static void UsageError(const char* argv0, const char* what) {
+    std::fprintf(stderr, "bad argument: %s\n", what);
+    PrintUsage(stderr, argv0);
+    std::exit(2);
+  }
+
+  // A positive decimal integer no larger than `max`, nothing else (no
+  // sign, no trailing text).
+  static bool ParsePositive(const std::string& text, uint64_t max,
+                            uint64_t& out) {
+    if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE || value == 0 || value > max) {
+      return false;
+    }
+    out = value;
+    return true;
+  }
+
+  // Sets the sweep field named by `flag` ("--threads=", "--duration=" or
+  // "--records=") from `text`; false = malformed or non-positive.
+  bool SetSweepField(const std::string& flag, const std::string& text) {
+    uint64_t value = 0;
+    if (flag == "--threads=") {
+      std::vector<int> counts;
+      size_t pos = 0;
+      while (true) {
+        const size_t comma = text.find(',', pos);
+        if (!ParsePositive(text.substr(pos, comma - pos), INT_MAX, value)) {
+          return false;
+        }
+        counts.push_back(static_cast<int>(value));
+        if (comma == std::string::npos) break;
+        pos = comma + 1;
+      }
+      threads = std::move(counts);
+      return true;
+    }
+    if (flag == "--duration=") {
+      if (!ParsePositive(text, INT_MAX, value)) return false;
+      duration_ms = static_cast<int>(value);
+      return true;
+    }
+    if (!ParsePositive(text, UINT64_MAX, value)) return false;
+    records = value;
+    return true;
   }
 };
 

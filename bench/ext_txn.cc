@@ -1,12 +1,12 @@
-// Extension: multi-key transactions (src/txn/) over the hash table and
-// B+-tree hosts — Silo-style OCC vs no-wait 2PL, across the lock families
-// the TxnOps contract unifies.
+// Extension: multi-key transactions (src/txn/) over the B+-tree hosts —
+// Silo-style OCC vs no-wait 2PL, with OptLock or OptiQL leaf locks as the
+// record locks.
 //
 // Each transaction samples `txn_size` keys from the preloaded population,
 // reads every one, and bumps every other one (read-modify-write). OCC
 // reads lock-free and validates at commit against the indexes' own lock
 // words; 2PL locks as it goes and aborts on any busy lock. The sweep
-// crosses {OCC, 2PL} x lock family x host x txn size x key skew, and
+// crosses {OCC, 2PL} x leaf lock x txn size x key skew, and
 // reports committed-transaction throughput plus the abort rate — the
 // protocols' fundamental trade under growing contention.
 //
@@ -24,15 +24,11 @@
 #include "harness/bench_runner.h"
 #include "harness/table_printer.h"
 #include "index_bench_common.h"
-#include "index/hash_table.h"
 #include "txn/txn.h"
 
 namespace optiql {
 namespace {
 
-using HashOptLock = HashTable<HashOlcPolicy>;
-using HashOptiQl = HashTable<HashOptiQlPolicy<>>;
-using HashMcsRw = HashTable<HashLockPolicy<McsRwLock>>;
 using BTreeTxnOptLock = BTreeOptLock;  // index_bench_common typedef.
 using BTreeTxnOptiQl =
     BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL, /*kAor=*/false>>;
@@ -80,7 +76,8 @@ void TxnPass(Index& index, const RowSpec& row, const BenchFlags& flags,
                   return false;
                 }
                 // Bump every other key: each transaction both reads and
-                // writes, so OCC validation and 2PL upgrades are exercised.
+                // writes, so OCC validation and 2PL write locks are
+                // exercised.
                 if ((i & 1) == 0 &&
                     txn.Put(keys[i], value + 1) == TxnResult::kAbort) {
                   return false;
@@ -109,7 +106,7 @@ void Preload(Index& index, uint64_t records) {
   }
 }
 
-// One table: every protocol x lock x host row at a fixed (skew, txn_size).
+// One table: every protocol x leaf lock row at a fixed (skew, txn_size).
 void TxnSection(const BenchFlags& flags, const KeyDist& dist, int txn_size,
                 JsonBenchWriter& json) {
   const int repeats = BenchRepeats();
@@ -119,47 +116,24 @@ void TxnSection(const BenchFlags& flags, const KeyDist& dist, int txn_size,
 
   const KeySampler sampler(dist, flags.records);
 
-  auto h_optlock = std::make_unique<HashOptLock>();
-  auto h_optiql = std::make_unique<HashOptiQl>();
-  auto h_mcsrw = std::make_unique<HashMcsRw>();
   auto b_optlock = std::make_unique<BTreeTxnOptLock>();
   auto b_optiql = std::make_unique<BTreeTxnOptiQl>();
-  Preload(*h_optlock, flags.records);
-  Preload(*h_optiql, flags.records);
-  Preload(*h_mcsrw, flags.records);
   Preload(*b_optlock, flags.records);
   Preload(*b_optiql, flags.records);
 
-  const RowSpec occ_h_optlock{"OCC hash/OptLock", "occ", "OptLock", "hash"};
-  const RowSpec occ_h_optiql{"OCC hash/OptiQL", "occ", "OptiQL", "hash"};
   const RowSpec occ_b_optlock{"OCC btree/OptLock", "occ", "OptLock", "btree"};
   const RowSpec occ_b_optiql{"OCC btree/OptiQL", "occ", "OptiQL", "btree"};
-  const RowSpec tpl_h_optlock{"2PL hash/OptLock", "2pl", "OptLock", "hash"};
-  const RowSpec tpl_h_optiql{"2PL hash/OptiQL", "2pl", "OptiQL", "hash"};
-  const RowSpec tpl_h_mcsrw{"2PL hash/MCS-RW", "2pl", "MCS-RW", "hash"};
   const RowSpec tpl_b_optlock{"2PL btree/OptLock", "2pl", "OptLock", "btree"};
   const RowSpec tpl_b_optiql{"2PL btree/OptiQL", "2pl", "OptiQL", "btree"};
-  const std::vector<const RowSpec*> order = {
-      &occ_h_optlock, &occ_h_optiql,  &occ_b_optlock, &occ_b_optiql,
-      &tpl_h_optlock, &tpl_h_optiql,  &tpl_h_mcsrw,   &tpl_b_optlock,
-      &tpl_b_optiql};
+  const std::vector<const RowSpec*> order = {&occ_b_optlock, &occ_b_optiql,
+                                             &tpl_b_optlock, &tpl_b_optiql};
 
   PointMap points;
   for (int rep = 0; rep < repeats; ++rep) {
-    TxnPass<OccTxn>(*h_optlock, occ_h_optlock, flags, sampler, txn_size,
-                    points);
-    TxnPass<OccTxn>(*h_optiql, occ_h_optiql, flags, sampler, txn_size,
-                    points);
     TxnPass<OccTxn>(*b_optlock, occ_b_optlock, flags, sampler, txn_size,
                     points);
     TxnPass<OccTxn>(*b_optiql, occ_b_optiql, flags, sampler, txn_size,
                     points);
-    TxnPass<TwoPlTxn>(*h_optlock, tpl_h_optlock, flags, sampler, txn_size,
-                      points);
-    TxnPass<TwoPlTxn>(*h_optiql, tpl_h_optiql, flags, sampler, txn_size,
-                      points);
-    TxnPass<TwoPlTxn>(*h_mcsrw, tpl_h_mcsrw, flags, sampler, txn_size,
-                      points);
     TxnPass<TwoPlTxn>(*b_optlock, tpl_b_optlock, flags, sampler, txn_size,
                       points);
     TxnPass<TwoPlTxn>(*b_optiql, tpl_b_optiql, flags, sampler, txn_size,

@@ -58,7 +58,6 @@ benches=(
   "micro_search_kernel --json"
   "micro_gbench"
   "ext_insert_delete"
-  "ext_hash_table"
   "ext_ycsb"
   "ext_sharded --json"
   "ext_adaptive --json"

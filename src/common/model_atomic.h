@@ -79,9 +79,6 @@ struct SeededBugs {
   // the queued successor — the exact bug the NextVersion propagation rule
   // exists to prevent (marker must survive queue handover).
   bool optiql_drop_obsolete_on_handover = false;
-  // MCS-RW TryUpgradeShNoQueue: grant the upgrade even when other readers
-  // are still active (sole-holder check skipped).
-  bool mcsrw_upgrade_ignores_readers = false;
   // Elastic reshard handover: the migration copier reads the source and
   // writes the target WITHOUT holding the chunk gate, so a concurrent
   // double-applied remove can interleave between its read and its write

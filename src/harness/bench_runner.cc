@@ -146,8 +146,4 @@ std::vector<int> BenchThreadCounts() {
   return counts;
 }
 
-int BenchDurationMs(int fallback) {
-  return static_cast<int>(EnvInt("OPTIQL_BENCH_DURATION_MS", fallback));
-}
-
 }  // namespace optiql

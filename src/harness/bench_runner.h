@@ -68,9 +68,6 @@ int64_t EnvInt(const char* name, int64_t fallback);
 // 2*hardware_concurrency, overridable with OPTIQL_BENCH_THREADS=a,b,c.
 std::vector<int> BenchThreadCounts();
 
-// Benchmark duration per data point in ms (OPTIQL_BENCH_DURATION_MS).
-int BenchDurationMs(int fallback = 200);
-
 }  // namespace optiql
 
 #endif  // OPTIQL_HARNESS_BENCH_RUNNER_H_

@@ -5,9 +5,8 @@
 // key space.
 //
 // Works with anything satisfying IndexLike (see index/index_ops.h): the
-// B+-tree, ART, the hash table, and composites like ShardedStore all run
-// through the uniform IndexInsert/IndexUpdate/IndexLookup/IndexRemove
-// surface.
+// B+-tree, ART and composites like ShardedStore all run through the
+// uniform IndexInsert/IndexUpdate/IndexLookup/IndexRemove surface.
 #ifndef OPTIQL_HARNESS_INDEX_BENCH_H_
 #define OPTIQL_HARNESS_INDEX_BENCH_H_
 

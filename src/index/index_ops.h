@@ -1,9 +1,9 @@
 // The one uniform operation surface over every index in the repo.
 //
-// The indexes grew three incompatible point-op interfaces: the B+-tree and
-// hash table take integer keys directly (Insert/Lookup/...), ART exposes
-// byte-string ops plus an *Int convenience suffix (InsertInt/LookupInt/...),
-// and capabilities like Scan, BulkLoad, Upsert or NodeCount exist only on
+// The indexes grew incompatible point-op interfaces: the B+-tree takes
+// integer keys directly (Insert/Lookup/...), ART exposes byte-string ops
+// plus an *Int convenience suffix (InsertInt/LookupInt/...), and
+// capabilities like Scan, BulkLoad, Upsert or NodeCount exist only on
 // some of them. Every consumer (harness, trace replay, benches, examples)
 // used to roll its own duck-typed shims over that split; this header is now
 // the single home for both:
@@ -33,7 +33,7 @@ namespace optiql {
 
 // --- Capability detection (defined HERE and nowhere else) ------------------
 
-// Native integer point ops: B+-tree, hash table, sharded store.
+// Native integer point ops: B+-tree, sharded store.
 template <class Index>
 concept HasNativeIntOps =
     requires(Index t, const Index c, uint64_t k, uint64_t v, uint64_t& out) {
@@ -65,7 +65,7 @@ concept HasScanOp =
       { t.Scan(k, n, out) } -> std::same_as<size_t>;
     };
 
-// Native insert-or-update (B+-tree, hash table, sharded store).
+// Native insert-or-update (B+-tree, sharded store).
 template <class Index>
 concept HasUpsertOp = requires(Index t, uint64_t k, uint64_t v) {
   t.Upsert(k, v);
@@ -124,23 +124,6 @@ concept TxnVersionedHost =
     TxnHostIndex<Index> && VersionedLock<typename Index::TxnLock> &&
     requires(const Index c, uint64_t k, typename Index::TxnReadResult& r) {
       c.TxnRead(k, r);
-    };
-
-// Shared-mode host: records are guarded by pessimistic reader-writer
-// locks, so 2PL reads hold them shared (TxnTryReadShared) instead of
-// validating versions. A write into a record this transaction already
-// reads shared must atomically upgrade the hold (a no-wait retry of the
-// self-collision would repeat forever), so the host must expose the lock
-// address and the upgrade hook — which excludes shared-mode families
-// without an atomic upgrade (TxnOps kHasShUpgrade, e.g. shared_mutex).
-template <class Index>
-concept TxnSharedReadHost =
-    TxnHostIndex<Index> && SharedModeLock<typename Index::TxnLock> &&
-    requires(Index m, const Index c, uint64_t k, int slot, uint32_t n,
-             typename Index::TxnWriteGuard& g) {
-      { c.TxnLockAddr(k) } -> std::same_as<const typename Index::TxnLock*>;
-      { m.TxnTryUpgradeForWrite(k, slot, n, g) } ->
-          std::same_as<TxnLockStatus>;
     };
 
 // --- Uniform point operations ----------------------------------------------
@@ -231,10 +214,9 @@ void IndexCheckInvariants(const Index& index) {
 //     re-entrant, so indexes that open their own per-op guard nest freely).
 //
 // Indexes with a native batch entry point (interleaved multi-descent in the
-// B+-tree and ART, group-prefetched probes in the hash table, per-shard
-// dispatch in ShardedStore) are detected below; everything else — including
-// the reader-writer-locked variants — gets the guard + loop fallback, so all
-// index types keep working.
+// B+-tree and ART, per-shard dispatch in ShardedStore) are detected below;
+// everything else — including the reader-writer-locked variants — gets the
+// guard + loop fallback, so all index types keep working.
 
 // Native batched point lookup (integer keys directly).
 template <class Index>

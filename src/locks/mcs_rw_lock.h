@@ -172,114 +172,6 @@ class OPTIQL_CAPABILITY("shared_mutex") McsRwLock {
     }
   }
 
-  // --- No-wait interface (2PL deadlock avoidance, txn layer) ---
-
-  // Non-blocking exclusive acquire: succeeds only when the lock is entirely
-  // free (no queue, no registered writer, no active readers), by CAS-ing the
-  // whole word from 0 to "tail = self". On success the caller holds the lock
-  // exactly as after AcquireEx and must release with ReleaseEx(qnode).
-  bool TryAcquireEx(QNode* qnode) OPTIQL_TRY_ACQUIRE(true) {
-    uint64_t expected = 0;
-    const uint32_t self = Pool().ToId(qnode);
-    qnode->DbgTransition(QNode::kDbgIdle, QNode::kDbgQueued,
-                         "MCS-RW TryAcquireEx with a node that is already "
-                         "enqueued or not owned by this thread");
-    qnode->next.store(nullptr, std::memory_order_relaxed);
-    qnode->aux.store(kClassWriterBit, std::memory_order_relaxed);
-    if (word_.compare_exchange_strong(expected,
-                                      uint64_t{self} << kTailShift,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      return true;
-    }
-    qnode->DbgTransition(QNode::kDbgQueued, QNode::kDbgIdle,
-                         "MCS-RW TryAcquireEx backout");
-    return false;
-  }
-
-  // Non-blocking queue-less shared acquire: joins the active reader group
-  // directly (one CAS, no queue node) when no writer is queued or
-  // registered. Must be released with ReleaseShNoQueue() — the queued
-  // ReleaseSh(qnode) path does not apply, we were never in the queue.
-  bool TryAcquireSh() OPTIQL_TRY_ACQUIRE_SHARED(true) {
-    uint64_t w = word_.load(std::memory_order_acquire);
-    while (TailId(w) == kNullId && NextWriterId(w) == kNullId) {
-      if (word_.compare_exchange_weak(w, w + kReaderOne,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Pairs with TryAcquireSh: drop the reader count and, as the last active
-  // reader, wake a registered writer (same arbitration as ReleaseSh's tail
-  // half — the fetch_sub snapshot atomically pairs count and next_writer).
-  void ReleaseShNoQueue() OPTIQL_RELEASE_SHARED() {
-    const uint64_t old_word =
-        word_.fetch_sub(kReaderOne, std::memory_order_acq_rel);
-    OPTIQL_INVARIANT(ReaderCount(old_word) >= 1,
-                     "MCS-RW ReleaseShNoQueue underflowed the reader count "
-                     "(release without a matching TryAcquireSh)");
-    const uint32_t waiting_writer = NextWriterId(old_word);
-    if (ReaderCount(old_word) == 1 && waiting_writer != kNullId) {
-      uint64_t w = word_.load(std::memory_order_acquire);
-      while (ReaderCount(w) == 0 && NextWriterId(w) == waiting_writer) {
-        if (word_.compare_exchange_weak(w, ClearNextWriter(w),
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-          Unblock(Pool().ToPtr(waiting_writer));
-          return;
-        }
-      }
-    }
-  }
-
-  // Atomic shared→exclusive upgrade for queue-less shared holds: succeeds
-  // only when the caller's own holds are the lock's entire state — reader
-  // count == `my_holds`, empty queue, no registered writer — by CAS-ing
-  // the packed word straight to "tail = self as writer". On success the
-  // `my_holds` shared holds are consumed (they must NOT be individually
-  // released) and the caller holds the lock exactly as after TryAcquireEx,
-  // releasing with ReleaseEx(qnode). On failure nothing changes: the
-  // shared holds remain. Because the conversion is one CAS there is no
-  // release/re-acquire window — anything read under the shared holds stays
-  // protected across the upgrade (the 2PL read-then-write guarantee).
-  //
-  // No TSA annotations: a conditional shared→exclusive conversion is not
-  // expressible (the failure branch still holds shared). TSA-checked
-  // callers wrap the call site in OPTIQL_NO_THREAD_SAFETY_ANALYSIS.
-  bool TryUpgradeShNoQueue(QNode* qnode, uint32_t my_holds) {
-    OPTIQL_INVARIANT(my_holds >= 1,
-                     "MCS-RW TryUpgradeShNoQueue with no shared holds");
-    qnode->DbgTransition(QNode::kDbgIdle, QNode::kDbgQueued,
-                         "MCS-RW TryUpgradeShNoQueue with a node that is "
-                         "already enqueued or not owned by this thread");
-    qnode->next.store(nullptr, std::memory_order_relaxed);
-    qnode->aux.store(kClassWriterBit, std::memory_order_relaxed);
-    const uint32_t self = Pool().ToId(qnode);
-    uint64_t expected = uint64_t{my_holds} << kReaderShift;
-#if defined(OPTIQL_MODEL) && OPTIQL_MODEL
-    // Seeded bug (model builds only): skip the sole-holder check and
-    // upgrade from whatever the current word is, keeping only our own
-    // holds' worth of count. Other active readers survive into the
-    // exclusive section — the checker's upgrade-atomicity spec must
-    // catch the resulting reader/writer overlap.
-    if (model::bugs().mcsrw_upgrade_ignores_readers) {
-      expected = word_.load(std::memory_order_relaxed);
-    }
-#endif
-    if (word_.compare_exchange_strong(expected, uint64_t{self} << kTailShift,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-      return true;
-    }
-    qnode->DbgTransition(QNode::kDbgQueued, QNode::kDbgIdle,
-                         "MCS-RW TryUpgradeShNoQueue backout");
-    return false;
-  }
-
   // --- Introspection (tests/diagnostics) ---
 
   uint32_t ActiveReaders() const {

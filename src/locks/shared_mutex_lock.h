@@ -18,13 +18,9 @@ class OPTIQL_CAPABILITY("shared_mutex") SharedMutexLock {
   SharedMutexLock& operator=(const SharedMutexLock&) = delete;
 
   void AcquireEx() OPTIQL_ACQUIRE() { mutex_.lock(); }
-  bool TryAcquireEx() OPTIQL_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
   void ReleaseEx() OPTIQL_RELEASE() { mutex_.unlock(); }
 
   void AcquireSh() OPTIQL_ACQUIRE_SHARED() { mutex_.lock_shared(); }
-  bool TryAcquireSh() OPTIQL_TRY_ACQUIRE_SHARED(true) {
-    return mutex_.try_lock_shared();
-  }
   void ReleaseSh() OPTIQL_RELEASE_SHARED() { mutex_.unlock_shared(); }
 
  private:

@@ -104,8 +104,8 @@ class HashRoutingTable {
   }
 
   size_t shard_count() const { return shard_count_; }
-  // Versions are even in steady state (odd = migration window open); the
-  // hash table never reshards, so it is permanently at the initial steady
+  // Versions are even in steady state (odd = migration window open); hash
+  // routing never reshards, so it is permanently at the initial steady
   // version.
   uint64_t version() const { return 2; }
 

@@ -629,28 +629,6 @@ class ShardedStore : public internal::ShardTxnTypes<Index>,
     return ShardFor(key).TxnTryLockForWrite(key, slot, already_held, guard);
   }
 
-  template <class HeldContains, class I = Index>
-    requires TxnSharedReadHost<I>
-  TxnLockStatus TxnTryReadShared(uint64_t key, const HeldContains& held_ex,
-                                 bool& found, uint64_t& value,
-                                 const typename I::TxnLock*& lock) {
-    return ShardFor(key).TxnTryReadShared(key, held_ex, found, value, lock);
-  }
-
-  template <class I = Index>
-    requires TxnSharedReadHost<I>
-  const typename I::TxnLock* TxnLockAddr(uint64_t key) const {
-    return ShardFor(key).TxnLockAddr(key);
-  }
-
-  template <class I = Index>
-    requires TxnSharedReadHost<I>
-  TxnLockStatus TxnTryUpgradeForWrite(uint64_t key, int slot,
-                                      uint32_t my_holds,
-                                      typename I::TxnWriteGuard& guard) {
-    return ShardFor(key).TxnTryUpgradeForWrite(key, slot, my_holds, guard);
-  }
-
   // Ranks order by shard first, then by the shard's own rank, so the
   // cross-shard acquisition order every transaction uses is consistent.
   std::pair<uint64_t, uint64_t> TxnLockRank(uint64_t key) const

@@ -15,7 +15,7 @@
 //   Exclusive mode (LockEx/UnlockEx: every family; the rest where the
 //   family supports it)
 //     LockEx(lock, slot) -> ExHandle      blocking acquire
-//     TryLockEx(lock, slot, h) -> bool    no-wait acquire (2PL, OCC commit)
+//     TryLockEx(lock, slot, h) -> bool    no-wait acquire (versioned families)
 //     TryUpgrade(lock, v, slot, h)        snapshot -> exclusive promotion
 //     UnlockEx(lock, h)                   release, bump version
 //     UnlockExNoBump(lock, h)             release, no bump (no-op sections)
@@ -26,11 +26,6 @@
 //
 //   Shared mode (pessimistic reader modes: MCS-RW, shared_mutex)
 //     LockSh/UnlockSh(lock, slot)         blocking (RW leaves, ART coupling)
-//     TryLockSh(lock) -> bool             no-wait, queue-less (txn reads)
-//     UnlockShNoQueue(lock)
-//     TryUpgradeSh(lock, slot, n, h)      atomically convert the caller's n
-//                                         queue-less shared holds into an
-//                                         exclusive hold (kHasShUpgrade)
 //
 // `slot` selects a thread-local queue node (ThreadQNodes) for queue-based
 // locks and is ignored by centralized ones; index ops use slots 0..2
@@ -49,8 +44,6 @@
 //                  unlinked node cannot tell; the B+-tree's RW leaves
 //                  re-validate the parent instead.
 //   kSharedMode    pessimistic shared mode exists
-//   kHasShUpgrade  TryUpgradeSh supported (a shared-mode family without it
-//                  cannot host 2PL read-then-write on one record)
 // A family with neither read surface (TTS, Ticket, MCS) serves reads by
 // taking the exclusive lock.
 //
@@ -116,7 +109,6 @@ struct TxnOps<BasicOptLock<BackoffPolicy>> {
       std::is_same_v<BackoffPolicy, NoBackoff> ? "OptLock" : "OptLock-Backoff";
   static constexpr bool kVersioned = true;
   static constexpr bool kSharedMode = false;
-  static constexpr bool kHasShUpgrade = false;
 
   static bool StableVersion(const Lock& lock, uint64_t& v) {
     return lock.AcquireSh(v);
@@ -163,7 +155,6 @@ struct TxnOps<BasicOptiQL<kEnableOpRead>> {
   static constexpr const char* kName = kEnableOpRead ? "OptiQL" : "OptiQL-NOR";
   static constexpr bool kVersioned = true;
   static constexpr bool kSharedMode = false;
-  static constexpr bool kHasShUpgrade = false;
 
   static bool StableVersion(const Lock& lock, uint64_t& v) {
     return lock.AcquireSh(v);
@@ -220,7 +211,6 @@ struct CentralizedExclusiveTxnOps {
   using ExHandle = NoExHandle;
   static constexpr bool kVersioned = false;
   static constexpr bool kSharedMode = false;
-  static constexpr bool kHasShUpgrade = false;
 
   static ExHandle LockEx(Lock& lock, int /*slot*/) OPTIQL_ACQUIRE(lock) {
     lock.AcquireEx();
@@ -252,7 +242,6 @@ struct TxnOps<McsLock> {
   static constexpr const char* kName = "MCS";
   static constexpr bool kVersioned = false;
   static constexpr bool kSharedMode = false;
-  static constexpr bool kHasShUpgrade = false;
 
   static ExHandle LockEx(Lock& lock, int slot) OPTIQL_ACQUIRE(lock) {
     QNode* node = ThreadQNodes::Get(slot);
@@ -273,7 +262,6 @@ struct TxnOps<McsRwLock> {
   static constexpr const char* kName = "MCS-RW";
   static constexpr bool kVersioned = false;
   static constexpr bool kSharedMode = true;
-  static constexpr bool kHasShUpgrade = true;
 
   // Slot-based blocking surface (RW-leaf B+-trees, ART coupling).
   static void LockSh(Lock& lock, int slot) OPTIQL_ACQUIRE_SHARED(lock) {
@@ -291,35 +279,9 @@ struct TxnOps<McsRwLock> {
     lock.ReleaseEx(ThreadQNodes::Get(slot));
   }
 
-  // Handle-based no-wait surface (txn layer).
-  static bool TryLockEx(Lock& lock, int slot, ExHandle& handle)
-      OPTIQL_TRY_ACQUIRE(true, lock) {
-    QNode* node = ThreadQNodes::Get(slot);
-    if (!lock.TryAcquireEx(node)) return false;
-    handle = {node};
-    return true;
-  }
+  // Handle-based release, pairing with LockEx's handle.
   static void UnlockEx(Lock& lock, ExHandle handle) OPTIQL_RELEASE(lock) {
     lock.ReleaseEx(handle.node);
-  }
-  static bool TryLockSh(Lock& lock) OPTIQL_TRY_ACQUIRE_SHARED(true, lock) {
-    return lock.TryAcquireSh();
-  }
-  static void UnlockShNoQueue(Lock& lock) OPTIQL_RELEASE_SHARED(lock) {
-    lock.ReleaseShNoQueue();
-  }
-  // Converts `my_holds` of the caller's TryLockSh holds into an exclusive
-  // hold in one CAS (2PL read-then-write on one record — without this a
-  // write into a self-read bucket would no-wait-abort forever). Success
-  // consumes the shared holds; failure leaves them. Unannotated: a
-  // conditional shared→exclusive conversion is not expressible in TSA —
-  // analyzed callers wrap the call site (see McsRwLock).
-  static bool TryUpgradeSh(Lock& lock, int slot, uint32_t my_holds,
-                           ExHandle& handle) {
-    QNode* node = ThreadQNodes::Get(slot);
-    if (!lock.TryUpgradeShNoQueue(node, my_holds)) return false;
-    handle = {node};
-    return true;
   }
 };
 
@@ -332,9 +294,6 @@ struct TxnOps<SharedMutexLock> {
   static constexpr const char* kName = "pthread";
   static constexpr bool kVersioned = false;
   static constexpr bool kSharedMode = true;
-  // std::shared_mutex has no atomic upgrade, so this family cannot host
-  // 2PL read-then-write on one record (TxnSharedReadHost excludes it).
-  static constexpr bool kHasShUpgrade = false;
 
   static void LockSh(Lock& lock, int /*slot*/) OPTIQL_ACQUIRE_SHARED(lock) {
     lock.AcquireSh();
@@ -349,20 +308,8 @@ struct TxnOps<SharedMutexLock> {
   static void UnlockEx(Lock& lock, int /*slot*/) OPTIQL_RELEASE(lock) {
     lock.ReleaseEx();
   }
-
-  static bool TryLockEx(Lock& lock, int /*slot*/, ExHandle& handle)
-      OPTIQL_TRY_ACQUIRE(true, lock) {
-    handle = {};
-    return lock.TryAcquireEx();
-  }
   static void UnlockEx(Lock& lock, ExHandle) OPTIQL_RELEASE(lock) {
     lock.ReleaseEx();
-  }
-  static bool TryLockSh(Lock& lock) OPTIQL_TRY_ACQUIRE_SHARED(true, lock) {
-    return lock.TryAcquireSh();
-  }
-  static void UnlockShNoQueue(Lock& lock) OPTIQL_RELEASE_SHARED(lock) {
-    lock.ReleaseSh();
   }
 };
 

@@ -2,8 +2,8 @@
 // the TxnOps<Lock> contract (sync/txn_ops.h) through the transaction-host
 // hooks (index/index_ops.h: TxnHostIndex and friends).
 //
-// Two protocols, both generic over any hosting index — B+-tree, hash
-// table, or a ShardedStore of either:
+// Two protocols, both generic over any versioned hosting index — a
+// B+-tree, or a ShardedStore of them:
 //
 //   OccTxn    Silo-style optimistic concurrency control. The execution
 //             phase reads lock-free through TxnRead (validated snapshots
@@ -18,14 +18,11 @@
 //   TwoPlTxn  No-wait two-phase locking. Every access acquires its record
 //             lock up front and holds it to the end; any acquisition that
 //             would block aborts instead (no-wait deadlock avoidance, so
-//             no lock ordering is needed). On versioned hosts reads take
-//             the exclusive lock (those families have no shared mode); on
-//             shared-mode hosts (MCS-RW buckets) reads hold the record's
-//             lock shared and writes exclusive, with a write into a
-//             self-read lock atomically upgrading the transaction's own
-//             shared holds (TxnOps::TryUpgradeSh — a no-wait retry of that
-//             self-collision would repeat forever). Writes are buffered
-//             and installed at commit, so aborts need no undo.
+//             no lock ordering is needed). Reads take the exclusive lock
+//             too (the versioned families have no shared mode), so a
+//             later write into a self-read record finds it already held.
+//             Writes are buffered and installed at commit, so aborts need
+//             no undo.
 //
 // Workload model (CCBench-style): transactions read and update EXISTING
 // keys over a fixed population; they do not insert or remove. Structural
@@ -263,12 +260,10 @@ class OccTxn {
 // --- No-wait 2PL -----------------------------------------------------------
 
 template <class Index>
-  requires TxnVersionedHost<Index> || TxnSharedReadHost<Index>
+  requires TxnVersionedHost<Index>
 class TwoPlTxn {
  public:
   using Lock = typename Index::TxnLock;
-  using Ops = TxnOps<Lock>;
-  static constexpr bool kSharedReads = TxnSharedReadHost<Index>;
 
   explicit TwoPlTxn(Index& index) : index_(index) {
     entries_.reserve(4);
@@ -280,45 +275,27 @@ class TwoPlTxn {
   TwoPlTxn(const TwoPlTxn&) = delete;
   TwoPlTxn& operator=(const TwoPlTxn&) = delete;
 
-  // Read. Versioned hosts take the record's exclusive lock (no shared mode
-  // exists); shared-mode hosts hold it shared until commit/abort. kAbort =
-  // the lock was busy. A kNotFound read holds nothing (no phantom
-  // protection — the workload model has no inserts).
+  // Read: takes the record's exclusive lock (no shared mode exists) and
+  // holds it until commit/abort. kAbort = the lock was busy. A kNotFound
+  // read holds nothing (no phantom protection — the workload model has no
+  // inserts).
   TxnResult Get(uint64_t key, uint64_t& out) {
     OPTIQL_INVARIANT(!finished_, "Get on a finished transaction");
     if (const Entry* entry = FindEntry(key)) {
       out = entry->pending ? entry->value : guards_[entry->guard_index].Read();
       return TxnResult::kOk;
     }
-    if constexpr (kSharedReads) {
-      const auto held_ex = [this](const Lock* lock) {
-        return OwnsExclusive(lock);
-      };
-      bool found = false;
-      uint64_t value = 0;
-      const Lock* lock = nullptr;
-      const TxnLockStatus status =
-          index_.TxnTryReadShared(key, held_ex, found, value, lock);
-      if (status == TxnLockStatus::kBusy) return TxnResult::kAbort;
-      if (lock != nullptr) shared_holds_.push_back(lock);
-      if (!found) return TxnResult::kNotFound;
-      out = value;
-      return TxnResult::kOk;
-    } else {
-      size_t guard_index;
-      const TxnResult acquired = AcquireExclusive(key, guard_index);
-      if (acquired != TxnResult::kOk) return acquired;
-      entries_.push_back(Entry{key, guard_index, /*pending=*/false, 0});
-      out = guards_[guard_index].Read();
-      return TxnResult::kOk;
-    }
+    size_t guard_index;
+    const TxnResult acquired = AcquireExclusive(key, guard_index);
+    if (acquired != TxnResult::kOk) return acquired;
+    entries_.push_back(Entry{key, guard_index, /*pending=*/false, 0});
+    out = guards_[guard_index].Read();
+    return TxnResult::kOk;
   }
 
   // Write intent: takes the record's exclusive lock now (growing phase),
-  // buffers the value, installs at commit — aborts need no undo. On a
-  // shared-mode host, a record lock this transaction already holds shared
-  // is atomically upgraded (see AcquireExclusive); kAbort means a genuine
-  // competitor held or shared the lock.
+  // buffers the value, installs at commit — aborts need no undo. kAbort
+  // means a competitor held the lock.
   TxnResult Put(uint64_t key, uint64_t value) {
     OPTIQL_INVARIANT(!finished_, "Put on a finished transaction");
     if (Entry* entry = FindEntry(key)) {
@@ -344,11 +321,7 @@ class TwoPlTxn {
     if constexpr (HasRoutingVersionOp<Index>) {
       const uint64_t routing_now = index_.RoutingVersion();
       if (routing_now != routing_version_ || (routing_now & 1) != 0) {
-        for (size_t i = 0; i < num_guards_; ++i) {
-          guards_[i].Unlock(/*installed=*/false);
-        }
-        num_guards_ = 0;
-        ReleaseSharedHolds();
+        ReleaseGuards(/*installed=*/nullptr);
         return false;
       }
     }
@@ -365,22 +338,14 @@ class TwoPlTxn {
         }
       }
     }
-    for (size_t i = 0; i < num_guards_; ++i) {
-      guards_[i].Unlock(installed[i]);
-    }
-    num_guards_ = 0;
-    ReleaseSharedHolds();
+    ReleaseGuards(installed);
     return true;
   }
 
   void Abort() {
     OPTIQL_INVARIANT(!finished_, "Abort on a finished transaction");
     finished_ = true;
-    for (size_t i = 0; i < num_guards_; ++i) {
-      guards_[i].Unlock(/*installed=*/false);
-    }
-    num_guards_ = 0;
-    ReleaseSharedHolds();
+    ReleaseGuards(/*installed=*/nullptr);
   }
 
  private:
@@ -408,30 +373,9 @@ class TwoPlTxn {
   TxnResult AcquireExclusive(uint64_t key, size_t& guard_index) {
     typename Index::TxnWriteGuard guard;
     const int slot = ThreadQNodes::kTxnSlotBase + static_cast<int>(num_guards_);
-    TxnLockStatus status = TxnLockStatus::kBusy;
-    bool upgraded = false;
-    if constexpr (kSharedReads) {
-      // A write into a lock this transaction already reads shared would
-      // self-collide, and a no-wait retry would repeat the collision
-      // forever. Instead, atomically convert our own shared holds into the
-      // exclusive hold: values read under them stay protected (no release
-      // window), and kBusy now means a genuine competitor, which aborting
-      // can actually resolve.
-      const Lock* lock_addr = index_.TxnLockAddr(key);
-      if (const uint32_t my_holds = SharedHoldCount(lock_addr);
-          my_holds > 0) {
-        status = index_.TxnTryUpgradeForWrite(key, slot, my_holds, guard);
-        if (status == TxnLockStatus::kBusy) return TxnResult::kAbort;
-        DropSharedHolds(lock_addr);  // Consumed by the successful upgrade.
-        upgraded = true;
-      }
-    }
-    if (!upgraded) {
-      const auto held = [this](const Lock* lock) {
-        return OwnsExclusive(lock);
-      };
-      status = index_.TxnTryLockForWrite(key, slot, held, guard);
-    }
+    const auto held = [this](const Lock* lock) { return OwnsExclusive(lock); };
+    const TxnLockStatus status =
+        index_.TxnTryLockForWrite(key, slot, held, guard);
     if (status == TxnLockStatus::kBusy) return TxnResult::kAbort;
     if (status == TxnLockStatus::kAbsent) return TxnResult::kNotFound;
     OPTIQL_CHECK(num_guards_ < ThreadQNodes::kMaxTxnLocks);
@@ -441,34 +385,18 @@ class TwoPlTxn {
     return TxnResult::kOk;
   }
 
-  // Repeated shared reads of one lock pile up as duplicate entries; the
-  // upgrade path needs the exact count (the lock's reader count must equal
-  // our holds for the CAS to fire) and consumes them all at once.
-  uint32_t SharedHoldCount(const Lock* lock) const {
-    uint32_t holds = 0;
-    for (const Lock* held : shared_holds_) holds += (held == lock);
-    return holds;
-  }
-
-  void DropSharedHolds(const Lock* lock) {
-    shared_holds_.erase(
-        std::remove(shared_holds_.begin(), shared_holds_.end(), lock),
-        shared_holds_.end());
-  }
-
-  void ReleaseSharedHolds() {
-    if constexpr (kSharedReads) {
-      for (const Lock* lock : shared_holds_) {
-        Ops::UnlockShNoQueue(*const_cast<Lock*>(lock));
-      }
-      shared_holds_.clear();
+  // Releases every hold; `installed[i]` (null = none) marks the holds
+  // whose records took a write and so release with a version bump.
+  void ReleaseGuards(const bool* installed) {
+    for (size_t i = 0; i < num_guards_; ++i) {
+      guards_[i].Unlock(installed != nullptr && installed[i]);
     }
+    num_guards_ = 0;
   }
 
   Index& index_;
   EpochGuard epoch_;
   std::vector<Entry> entries_;
-  std::vector<const Lock*> shared_holds_;
   typename Index::TxnWriteGuard guards_[ThreadQNodes::kMaxTxnLocks];
   size_t num_guards_ = 0;
   uint64_t routing_version_ = 0;  // Snapshot at begin (routed hosts only).

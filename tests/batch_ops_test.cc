@@ -2,9 +2,8 @@
 // paths): batched results must be indistinguishable from executing the
 // same ops one at a time, in batch order — including misses, duplicate
 // keys inside one batch, and every dispatch arm (B+-tree/ART lane
-// machines, hash-table group prefetch, ShardedStore partition + scatter,
-// and the generic fallback used by the reader-writer leaf tree and the
-// test-only MapIndex).
+// machines, ShardedStore partition + scatter, and the generic fallback
+// used by the reader-writer leaf tree and the test-only MapIndex).
 //
 // Instantiations exercising optimistic reads are named to match the TSan
 // exclusion globs (Olc / OptiQl / BTree) in tests/CMakeLists.txt; the
@@ -22,7 +21,6 @@
 #include "common/random.h"
 #include "index/art.h"
 #include "index/btree.h"
-#include "index/hash_table.h"
 #include "index/index_ops.h"
 #include "map_index.h"
 #include "store/sharded_store.h"
@@ -35,12 +33,11 @@ using BTreeOptiQlT = BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL>>;
 using BTreeRwLeafT = BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>>;
 using ArtOlcT = ArtTree<ArtOlcPolicy>;
 using ArtOptiQlT = ArtTree<ArtOptiQlPolicy<OptiQL>>;
-using HashOlcT = HashTable<HashOlcPolicy>;
 using ShardedOlcT = ShardedStore<BTreeOlcT>;
 
 using BatchCases = ::testing::Types<BTreeOlcT, BTreeOptiQlT, ArtOlcT,
-                                    ArtOptiQlT, HashOlcT, ShardedOlcT,
-                                    BTreeRwLeafT, MapIndex>;
+                                    ArtOptiQlT, ShardedOlcT, BTreeRwLeafT,
+                                    MapIndex>;
 
 struct BatchCaseNames {
   template <class T>
@@ -49,7 +46,6 @@ struct BatchCaseNames {
     if (std::is_same_v<T, BTreeOptiQlT>) return "BTreeOptiQl";
     if (std::is_same_v<T, ArtOlcT>) return "ArtOlc";
     if (std::is_same_v<T, ArtOptiQlT>) return "ArtOptiQl";
-    if (std::is_same_v<T, HashOlcT>) return "HashTableOlc";
     if (std::is_same_v<T, ShardedOlcT>) return "ShardedBTreeOlc";
     // The RW-leaf tree keeps the test id of the lock-coupling tree it
     // replaced, so its result history stays continuous.
@@ -211,7 +207,9 @@ TYPED_TEST(BatchOpsTest, DifferentialInsertBatch) {
     const bool fa = IndexLookup(batched, k, a);
     const bool fb = IndexLookup(oracle, k, b);
     ASSERT_EQ(fa, fb) << "key " << k;
-    if (fa) ASSERT_EQ(a, b) << "key " << k;
+    if (fa) {
+      ASSERT_EQ(a, b) << "key " << k;
+    }
   }
 }
 
@@ -246,7 +244,9 @@ TYPED_TEST(BatchOpsTest, DifferentialUpsertBatch) {
     const bool fa = IndexLookup(batched, k, a);
     const bool fb = IndexLookup(oracle, k, b);
     ASSERT_EQ(fa, fb) << "key " << k;
-    if (fa) ASSERT_EQ(a, b) << "key " << k;
+    if (fa) {
+      ASSERT_EQ(a, b) << "key " << k;
+    }
   }
 }
 

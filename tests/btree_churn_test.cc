@@ -62,7 +62,9 @@ TYPED_TEST(BTreeChurnTest, RemoveShrinksNodeCount) {
   // Drop 90% of the population; merges must shed a matching share of the
   // nodes instead of leaving a husk of near-empty leaves.
   for (uint64_t k = 0; k < kKeys; ++k) {
-    if (k % 10 != 0) ASSERT_TRUE(tree.Remove(k));
+    if (k % 10 != 0) {
+      ASSERT_TRUE(tree.Remove(k));
+    }
   }
   tree.CheckInvariants();
   EXPECT_LT(tree.NodeCount(), full_nodes / 2);
@@ -133,7 +135,9 @@ TYPED_TEST(BTreeChurnTest, ConcurrentChurnBoundedNodesNoLostKeys) {
       uint64_t out = 0;
       const bool found = tree.Lookup(k, out);
       ASSERT_EQ(found, oracle[static_cast<size_t>(t)].count(k) == 1) << k;
-      if (found) ASSERT_EQ(out, k * 2 + 1);
+      if (found) {
+        ASSERT_EQ(out, k * 2 + 1);
+      }
     }
   }
   EXPECT_EQ(tree.Size(), live_keys);

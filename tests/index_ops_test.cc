@@ -1,6 +1,6 @@
 // IndexOps conformance: every index type in the repo — all B+-tree sync
-// policies, both ART families, the hash table, and ShardedStore composites
-// — satisfies IndexLike and behaves identically through the uniform
+// policies, both ART families, and ShardedStore composites — satisfies
+// IndexLike and behaves identically through the uniform
 // IndexInsert/IndexUpdate/IndexLookup/IndexRemove/IndexUpsert/IndexScan
 // surface. Each type also declares its expected capability profile, so a
 // capability silently appearing or disappearing (e.g. a concept no longer
@@ -15,7 +15,6 @@
 #include "index/art.h"
 #include "index/art_coupling.h"
 #include "index/btree.h"
-#include "index/hash_table.h"
 #include "index/index_ops.h"
 #include "store/sharded_store.h"
 
@@ -52,8 +51,6 @@ using BTreeMcsRwCase =
 using ArtOlcCase = Profile<ArtTree<ArtOlcPolicy>, 0, 0, 0, 0>;
 using ArtOptiQlCase = Profile<ArtTree<ArtOptiQlPolicy<OptiQL>>, 0, 0, 0, 0>;
 using ArtCouplingCase = Profile<ArtCouplingTree<McsRwLock>, 0, 0, 0, 0>;
-// Hash table: unordered, so no scan/bulk-load; native upsert.
-using HashTableCase = Profile<HashTable<>, 0, 0, 1, 0>;
 // Sharded composites inherit Scan/NodeCount from their shard type;
 // Upsert and BulkLoad are always present (the store routes through
 // IndexUpsert's loop / a checked-insert load when the shard lacks them).
@@ -71,8 +68,7 @@ using ConformanceCases =
     ::testing::Types<BTreeOlcCase, BTreeOptiQlCase, BTreeOptiQlNorCase,
                      BTreeOptiQlAorCase, BTreePthreadCase, BTreeMcsRwCase,
                      ArtOlcCase, ArtOptiQlCase, ArtCouplingCase,
-                     HashTableCase, ShardedBTreeCase, ShardedArtCase,
-                     ShardedRangeBTreeCase>;
+                     ShardedBTreeCase, ShardedArtCase, ShardedRangeBTreeCase>;
 
 struct ProfileNames {
   template <class T>
@@ -86,7 +82,6 @@ struct ProfileNames {
     if (std::is_same_v<T, ArtOlcCase>) return "ArtOptLock";
     if (std::is_same_v<T, ArtOptiQlCase>) return "ArtOptiQl";
     if (std::is_same_v<T, ArtCouplingCase>) return "ArtCouplingMcsRw";
-    if (std::is_same_v<T, HashTableCase>) return "HashTable";
     if (std::is_same_v<T, ShardedBTreeCase>) return "ShardedBTreeOptiQl";
     if (std::is_same_v<T, ShardedArtCase>) return "ShardedArtOptLock";
     if (std::is_same_v<T, ShardedRangeBTreeCase>) {

@@ -15,7 +15,6 @@
 #include "core/optiql.h"
 #include "gtest/gtest.h"
 #include "index/btree.h"
-#include "index/hash_table.h"
 #include "locks/mcs_lock.h"
 #include "locks/mcs_rw_lock.h"
 #include "locks/optlock.h"
@@ -182,10 +181,12 @@ TEST_F(InvariantDeathTest, BTreeSplitPublishedWithUnlockedLeftHalf) {
 // never locked a record cannot install, and releasing through TxnOps
 // still trips the underlying lock's double-release check.
 
+using TxnTree = BTree<uint64_t, uint64_t, BTreeOlcPolicy>;
+
 TEST_F(InvariantDeathTest, TxnCommitTwice) {
-  HashTable<HashOlcPolicy> table;
-  ASSERT_TRUE(table.Insert(1, 10));
-  OccTxn<HashTable<HashOlcPolicy>> txn(table);
+  TxnTree tree;
+  ASSERT_TRUE(tree.Insert(1, 10));
+  OccTxn<TxnTree> txn(tree);
   uint64_t out = 0;
   ASSERT_EQ(txn.Get(1, out), TxnResult::kOk);
   ASSERT_TRUE(txn.Commit());
@@ -193,9 +194,9 @@ TEST_F(InvariantDeathTest, TxnCommitTwice) {
 }
 
 TEST_F(InvariantDeathTest, TxnPutAfterAbort) {
-  HashTable<HashOlcPolicy> table;
-  ASSERT_TRUE(table.Insert(1, 10));
-  TwoPlTxn<HashTable<HashOlcPolicy>> txn(table);
+  TxnTree tree;
+  ASSERT_TRUE(tree.Insert(1, 10));
+  TwoPlTxn<TxnTree> txn(tree);
   uint64_t out = 0;
   ASSERT_EQ(txn.Get(1, out), TxnResult::kOk);
   txn.Abort();
@@ -203,7 +204,7 @@ TEST_F(InvariantDeathTest, TxnPutAfterAbort) {
 }
 
 TEST_F(InvariantDeathTest, TxnGuardInstallWithoutLockedRecord) {
-  HashTable<HashOlcPolicy>::TxnWriteGuard guard;
+  TxnTree::TxnWriteGuard guard;
   EXPECT_DEATH(guard.Install(1), kDeathMessage);
 }
 

@@ -1,5 +1,5 @@
 // Known-good fixture: every optimistic-read idiom the linter must accept.
-// Mirrors the real patterns in src/ (btree descent, hash-table probe,
+// Mirrors the real patterns in src/ (btree descent, record probe,
 // harness adapters). The self-test requires zero findings on this file.
 #ifndef OPTIQL_TESTS_LINT_FIXTURES_GOOD_OPTIMISTIC_READ_H_
 #define OPTIQL_TESTS_LINT_FIXTURES_GOOD_OPTIMISTIC_READ_H_

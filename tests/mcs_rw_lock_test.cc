@@ -221,57 +221,5 @@ TEST(McsRwLockTest, MixedStressInvariant) {
   EXPECT_FALSE(lock.HasQueue());
 }
 
-TEST(McsRwLockTest, UpgradeConvertsSoleHolderToWriter) {
-  McsRwLock lock;
-  QNodeGuard guard;
-  ASSERT_TRUE(lock.TryAcquireSh());
-  ASSERT_TRUE(lock.TryAcquireSh());  // Duplicate hold, same caller.
-  EXPECT_EQ(lock.ActiveReaders(), 2u);
-  ASSERT_TRUE(lock.TryUpgradeShNoQueue(guard.node(), 2));
-  // Both shared holds were consumed; we are now the queued writer.
-  EXPECT_EQ(lock.ActiveReaders(), 0u);
-  EXPECT_TRUE(lock.HasQueue());
-  EXPECT_FALSE(lock.TryAcquireSh());
-  lock.ReleaseEx(guard.node());
-  EXPECT_FALSE(lock.HasQueue());
-}
-
-TEST(McsRwLockTest, UpgradeFailsAgainstOtherReaders) {
-  McsRwLock lock;
-  QNodeGuard guard;
-  ASSERT_TRUE(lock.TryAcquireSh());  // Ours.
-  ASSERT_TRUE(lock.TryAcquireSh());  // "Someone else's" hold.
-  // Claiming fewer holds than the reader count must fail and change
-  // nothing (the foreign reader is still active).
-  EXPECT_FALSE(lock.TryUpgradeShNoQueue(guard.node(), 1));
-  EXPECT_EQ(lock.ActiveReaders(), 2u);
-  EXPECT_FALSE(lock.HasQueue());
-  lock.ReleaseShNoQueue();
-  lock.ReleaseShNoQueue();
-}
-
-TEST(McsRwLockTest, UpgradeFailsWhenWriterQueued) {
-  McsRwLock lock;
-  QNodeGuard reader_node, writer_node;
-  ASSERT_TRUE(lock.TryAcquireSh());
-  std::atomic<bool> writer_done{false};
-  std::thread writer([&] {
-    lock.AcquireEx(writer_node.node());  // Blocks behind the reader.
-    lock.ReleaseEx(writer_node.node());
-    writer_done.store(true, std::memory_order_release);
-  });
-  // Wait until the writer has registered (queue tail or next_writer set),
-  // at which point the upgrade CAS must refuse.
-  while (!lock.HasQueue() && lock.ActiveReaders() == 1 &&
-         !writer_done.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  if (!writer_done.load(std::memory_order_acquire)) {
-    EXPECT_FALSE(lock.TryUpgradeShNoQueue(reader_node.node(), 1));
-  }
-  lock.ReleaseShNoQueue();  // Unblocks the writer.
-  writer.join();
-}
-
 }  // namespace
 }  // namespace optiql

@@ -32,10 +32,6 @@ bool EnableBug(const std::string& name) {
     bugs().optiql_drop_obsolete_on_handover = true;
     return true;
   }
-  if (name == "mcsrw_upgrade_ignores_readers") {
-    bugs().mcsrw_upgrade_ignores_readers = true;
-    return true;
-  }
   if (name == "reshard_copy_skips_gate") {
     bugs().reshard_copy_skips_gate = true;
     return true;
@@ -135,11 +131,6 @@ TEST(ModelCheckSeededBug, OptiQlObsoleteDroppedOnHandoverIsCaught) {
 TEST(ModelCheckSeededBug, OptiQlObsoleteDroppedThreeThreadsIsCaught) {
   ExpectBugCaught("optiql_handover_obsolete_3",
                   "optiql_drop_obsolete_on_handover", "obsolete");
-}
-
-TEST(ModelCheckSeededBug, McsRwUpgradeIgnoresReadersIsCaught) {
-  ExpectBugCaught("mcsrw_upgrade_2", "mcsrw_upgrade_ignores_readers",
-                  "reader");
 }
 
 TEST(ModelCheckSeededBug, ReshardCopySkipsGateIsCaught) {

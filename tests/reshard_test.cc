@@ -308,7 +308,9 @@ void ReshardStorm(int workers, int ops_per_worker, int reshard_attempts) {
               const auto it = ex.find(batch_keys[j]);
               ASSERT_EQ(batch_found[j], it != ex.end())
                   << "batch lookup of key " << batch_keys[j];
-              if (batch_found[j]) ASSERT_EQ(batch_values[j], it->second);
+              if (batch_found[j]) {
+                ASSERT_EQ(batch_values[j], it->second);
+              }
             }
             break;
           }

@@ -87,8 +87,6 @@ void SharedMutexCorrect() {
   lock.ReleaseEx();
   lock.AcquireSh();
   lock.ReleaseSh();
-  if (lock.TryAcquireEx()) lock.ReleaseEx();
-  if (lock.TryAcquireSh()) lock.ReleaseSh();
 }
 
 // --- Queue-based locks: the qnode is plumbing, the capability is the lock ---
@@ -149,9 +147,6 @@ void TxnOpsCorrect() {
   ROps::LockEx(rw, 0);
   ROps::UnlockEx(rw, 0);
   ROps::UnlockEx(rw, ROps::LockEx(rw, 0));
-  ROps::ExHandle rh{};
-  if (ROps::TryLockEx(rw, 0, rh)) ROps::UnlockEx(rw, rh);
-  if (ROps::TryLockSh(rw)) ROps::UnlockShNoQueue(rw);
 
   SharedMutexLock sm;
   using SOps = TxnOps<SharedMutexLock>;
@@ -160,27 +155,6 @@ void TxnOpsCorrect() {
   SOps::LockEx(sm, 0);
   SOps::UnlockEx(sm, 0);
   SOps::UnlockEx(sm, SOps::LockEx(sm, 0));
-  SOps::ExHandle sh{};
-  if (SOps::TryLockEx(sm, 0, sh)) SOps::UnlockEx(sm, sh);
-  if (SOps::TryLockSh(sm)) SOps::UnlockShNoQueue(sm);
-}
-
-// Shared→exclusive upgrade: TSA cannot express a conditional mode
-// conversion (the failure branch still holds shared, the success branch
-// turned it exclusive without a visible acquire), so the exercise opts
-// out — the point here is instantiating the real API, which stays honest
-// against the annotated UnlockEx/UnlockShNoQueue it pairs with.
-void TxnOpsUpgradeCorrect() OPTIQL_NO_THREAD_SAFETY_ANALYSIS {
-  McsRwLock rw;
-  using ROps = TxnOps<McsRwLock>;
-  if (ROps::TryLockSh(rw)) {
-    ROps::ExHandle handle{};
-    if (ROps::TryUpgradeSh(rw, 0, /*my_holds=*/1, handle)) {
-      ROps::UnlockEx(rw, handle);
-    } else {
-      ROps::UnlockShNoQueue(rw);
-    }
-  }
 }
 
 // --- Reader-writer index instantiations: calling the public ops

@@ -1,5 +1,6 @@
 // Transaction-layer tests (src/txn/txn.h): OCC and no-wait 2PL over every
-// transaction-hosting index family.
+// transaction-hosting index family: the versioned B+-trees, the test-only
+// MapIndex, and ShardedStores of either.
 //
 //  * Serial differential: randomized multi-key transactions against a
 //    single-threaded std::map reference — read-your-writes, repeatable
@@ -13,10 +14,11 @@
 //    its shards are, with shard-major lock ranks.
 //
 // Suite naming feeds the TSan exclusion globs in tests/CMakeLists.txt:
-// the concurrent typed suites are TxnOcc*/TxnTwoPl* with instance names
-// carrying the lock family (Olc/OptiQl), so versioned-host
-// instances are filtered under TSan while the pessimistic MCS-RW host
-// instance still runs there.
+// the concurrent tests over B+-tree hosts carry the lock family (Olc/
+// OptiQl) or the protocol (Occ) in their names and are filtered under
+// TSan, since every B+-tree descends optimistically. The 2PL tests over
+// MapIndex hosts (record locks, atomic values, no optimistic descent)
+// deliberately match no glob, so 2PL stays under TSan.
 
 #include <cstdint>
 #include <map>
@@ -27,9 +29,9 @@
 #include "core/optiql.h"
 #include "gtest/gtest.h"
 #include "index/btree.h"
-#include "index/hash_table.h"
 #include "index/index_ops.h"
 #include "locks/mcs_rw_lock.h"
+#include "map_index.h"
 #include "store/sharded_store.h"
 #include "txn/txn.h"
 
@@ -39,20 +41,14 @@ namespace {
 using OlcTree = BTree<uint64_t, uint64_t, BTreeOlcPolicy>;
 using OptiQlTree =
     BTree<uint64_t, uint64_t, BTreeOptiQlPolicy<OptiQL, /*kAor=*/false>>;
-using OlcHash = HashTable<HashOlcPolicy>;
-using OptiQlHash = HashTable<HashOptiQlPolicy<>>;
-using McsRwHash = HashTable<HashLockPolicy<McsRwLock>>;
 using ShardedOptiQlTree = ShardedStore<OptiQlTree>;
-using ShardedOlcHash = ShardedStore<OlcHash>;
+using ShardedMap = ShardedStore<MapIndex>;
 
 static_assert(TxnVersionedHost<OlcTree>);
 static_assert(TxnVersionedHost<OptiQlTree>);
-static_assert(TxnVersionedHost<OlcHash>);
-static_assert(TxnVersionedHost<OptiQlHash>);
+static_assert(TxnVersionedHost<MapIndex>);
 static_assert(TxnVersionedHost<ShardedOptiQlTree>);
-static_assert(TxnVersionedHost<ShardedOlcHash>);
-static_assert(!TxnVersionedHost<McsRwHash>);
-static_assert(TxnSharedReadHost<McsRwHash>);
+static_assert(TxnVersionedHost<ShardedMap>);
 static_assert(!TxnHostIndex<BTree<uint64_t, uint64_t,
                                   BTreeRwLeafPolicy<McsRwLock>>>);
 
@@ -139,9 +135,8 @@ TEST(TxnSerialTest, OccOlcTree) { SerialDifferential<OlcTree, OccTxn<OlcTree>>()
 TEST(TxnSerialTest, OccOptiQlTree) {
   SerialDifferential<OptiQlTree, OccTxn<OptiQlTree>>();
 }
-TEST(TxnSerialTest, OccOlcHash) { SerialDifferential<OlcHash, OccTxn<OlcHash>>(); }
-TEST(TxnSerialTest, OccOptiQlHash) {
-  SerialDifferential<OptiQlHash, OccTxn<OptiQlHash>>();
+TEST(TxnSerialTest, OccMap) {
+  SerialDifferential<MapIndex, OccTxn<MapIndex>>();
 }
 TEST(TxnSerialTest, OccShardedOptiQlTree) {
   SerialDifferential<ShardedOptiQlTree, OccTxn<ShardedOptiQlTree>>();
@@ -152,17 +147,11 @@ TEST(TxnSerialTest, TwoPlOlcTree) {
 TEST(TxnSerialTest, TwoPlOptiQlTree) {
   SerialDifferential<OptiQlTree, TwoPlTxn<OptiQlTree>>();
 }
-TEST(TxnSerialTest, TwoPlOlcHash) {
-  SerialDifferential<OlcHash, TwoPlTxn<OlcHash>>();
+TEST(TxnSerialTest, TwoPlMap) {
+  SerialDifferential<MapIndex, TwoPlTxn<MapIndex>>();
 }
-TEST(TxnSerialTest, TwoPlOptiQlHash) {
-  SerialDifferential<OptiQlHash, TwoPlTxn<OptiQlHash>>();
-}
-TEST(TxnSerialTest, TwoPlMcsRwHash) {
-  SerialDifferential<McsRwHash, TwoPlTxn<McsRwHash>>();
-}
-TEST(TxnSerialTest, TwoPlShardedOlcHash) {
-  SerialDifferential<ShardedOlcHash, TwoPlTxn<ShardedOlcHash>>();
+TEST(TxnSerialTest, TwoPlShardedMap) {
+  SerialDifferential<ShardedMap, TwoPlTxn<ShardedMap>>();
 }
 
 // --- Concurrent conservation ----------------------------------------------
@@ -226,20 +215,14 @@ void ConcurrentTransfers(int threads) {
   IndexCheckInvariants(index);
 }
 
-// 2PL Gets on versioned hosts take exclusive locks, so a Get can return
-// kAbort; the transfer body above handles every access uniformly.
+// 2PL Gets take exclusive locks, so a Get can return kAbort; the transfer
+// body above handles every access uniformly.
 
 TEST(TxnOccConcurrentTest, OlcTree) {
   ConcurrentTransfers<OlcTree, OccTxn<OlcTree>>(4);
 }
 TEST(TxnOccConcurrentTest, OptiQlTree) {
   ConcurrentTransfers<OptiQlTree, OccTxn<OptiQlTree>>(4);
-}
-TEST(TxnOccConcurrentTest, OlcHash) {
-  ConcurrentTransfers<OlcHash, OccTxn<OlcHash>>(4);
-}
-TEST(TxnOccConcurrentTest, OptiQlHash) {
-  ConcurrentTransfers<OptiQlHash, OccTxn<OptiQlHash>>(4);
 }
 TEST(TxnOccConcurrentTest, ShardedOptiQlTree) {
   ConcurrentTransfers<ShardedOptiQlTree, OccTxn<ShardedOptiQlTree>>(4);
@@ -251,30 +234,23 @@ TEST(TxnTwoPlConcurrentTest, OlcTree) {
 TEST(TxnTwoPlConcurrentTest, OptiQlTree) {
   ConcurrentTransfers<OptiQlTree, TwoPlTxn<OptiQlTree>>(4);
 }
-TEST(TxnTwoPlConcurrentTest, OptiQlHash) {
-  ConcurrentTransfers<OptiQlHash, TwoPlTxn<OptiQlHash>>(4);
-}
-// The MCS-RW host has no optimistic read anywhere in its transaction
-// paths, so this instance deliberately avoids the TSan exclusion globs
-// and keeps the 2PL machinery under TSan in CI.
-TEST(TxnTwoPlConcurrentTest, McsRwHashSharedReads) {
-  ConcurrentTransfers<McsRwHash, TwoPlTxn<McsRwHash>>(4);
-}
 
 // --- Abort/retry accounting ------------------------------------------------
 
 // Two threads hammer the same two records in opposite orders: no-wait 2PL
 // must abort (never deadlock) and RunTxn must retry each transaction to
-// exactly one commit, attributing every abort to a busy lock.
+// exactly one commit, attributing every abort to a busy lock. MapIndex
+// gives each record its own lock, so the two keys are two locks.
 TEST(TxnTwoPlConcurrentTest, NoWaitRetriesResolveOpposingOrders) {
-  OptiQlHash index;
+  MapIndex index;
   ASSERT_TRUE(index.Insert(1, 0));
   ASSERT_TRUE(index.Insert(2, 0));
+  ASSERT_NE(index.TxnLockRank(1), index.TxnLockRank(2));
   constexpr int kRounds = 4000;
   TxnStats stats_a, stats_b;
   std::thread a([&] {
     for (int i = 0; i < kRounds; ++i) {
-      RunTxn<TwoPlTxn<OptiQlHash>>(index, stats_a, [&](auto& txn) {
+      RunTxn<TwoPlTxn<MapIndex>>(index, stats_a, [&](auto& txn) {
         uint64_t v = 0;
         if (txn.Get(1, v) != TxnResult::kOk) return false;
         if (txn.Put(2, v + 1) != TxnResult::kOk) return false;
@@ -284,7 +260,7 @@ TEST(TxnTwoPlConcurrentTest, NoWaitRetriesResolveOpposingOrders) {
   });
   std::thread b([&] {
     for (int i = 0; i < kRounds; ++i) {
-      RunTxn<TwoPlTxn<OptiQlHash>>(index, stats_b, [&](auto& txn) {
+      RunTxn<TwoPlTxn<MapIndex>>(index, stats_b, [&](auto& txn) {
         uint64_t v = 0;
         if (txn.Get(2, v) != TxnResult::kOk) return false;
         if (txn.Put(1, v + 1) != TxnResult::kOk) return false;
@@ -304,7 +280,7 @@ TEST(TxnTwoPlConcurrentTest, NoWaitRetriesResolveOpposingOrders) {
 // lost-update hazard that validation must have rejected. The counter ends
 // exactly at the number of committed increments.
 TEST(TxnOccConcurrentTest, ValidationPreventsLostUpdates) {
-  OlcHash index;
+  OlcTree index;
   ASSERT_TRUE(index.Insert(7, 0));
   constexpr int kIncrements = 5000;
   constexpr int kThreads = 4;
@@ -313,7 +289,7 @@ TEST(TxnOccConcurrentTest, ValidationPreventsLostUpdates) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&index, &stats, t] {
       for (int i = 0; i < kIncrements; ++i) {
-        RunTxn<OccTxn<OlcHash>>(index, stats[static_cast<size_t>(t)],
+        RunTxn<OccTxn<OlcTree>>(index, stats[static_cast<size_t>(t)],
                                 [&](auto& txn) {
                                   uint64_t v = 0;
                                   if (txn.Get(7, v) != TxnResult::kOk) {
@@ -335,7 +311,7 @@ TEST(TxnOccConcurrentTest, ValidationPreventsLostUpdates) {
 // --- Sharded store forwarding ----------------------------------------------
 
 TEST(TxnShardedTest, RanksAreShardMajor) {
-  ShardedOlcHash store(4);
+  ShardedMap store(4);
   for (uint64_t k = 1; k <= 64; ++k) {
     ASSERT_TRUE(store.Insert(k, k));
   }
@@ -345,7 +321,7 @@ TEST(TxnShardedTest, RanksAreShardMajor) {
 }
 
 TEST(TxnShardedTest, CrossShardTransfersConserve) {
-  ConcurrentTransfers<ShardedOlcHash, TwoPlTxn<ShardedOlcHash>>(4);
+  ConcurrentTransfers<ShardedMap, TwoPlTxn<ShardedMap>>(4);
 }
 
 }  // namespace

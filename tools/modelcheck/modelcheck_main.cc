@@ -53,10 +53,6 @@ bool ApplyBug(const std::string& name) {
     bugs().optiql_drop_obsolete_on_handover = true;
     return true;
   }
-  if (name == "mcsrw_upgrade_ignores_readers") {
-    bugs().mcsrw_upgrade_ignores_readers = true;
-    return true;
-  }
   if (name == "reshard_copy_skips_gate") {
     bugs().reshard_copy_skips_gate = true;
     return true;

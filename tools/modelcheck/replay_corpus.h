@@ -33,9 +33,6 @@ inline constexpr ReplayCase kReplayCorpus[] = {
      "0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.1.1.1.1.1.1.1.1.1.1.1.2.2.2.2.2.2.2."
      "2.2.1.1.1.1.2.2.2.2.2.2.2.2.2.2.2",
      "obsolete"},
-    // Upgrade CAS ignores concurrent readers; the count later underflows.
-    {"mcsrw_upgrade_2", "mcsrw_upgrade_ignores_readers",
-     "0.0.0.1.1.1.1.0.0.0.0.0.0.0.0.0.0.1", "reader"},
     // Ungated chunk copier reads the source, a double-applied remove lands,
     // then the stale copy resurrects the key in the target shard.
     {"reshard_handover_2", "reshard_copy_skips_gate",

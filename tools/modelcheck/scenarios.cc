@@ -362,61 +362,6 @@ class McsRwScenario : public Scenario {
   std::optional<RwProbe> rw_;
 };
 
-// MCS-RW shared→exclusive upgrade atomicity: thread 0 takes a queue-less
-// shared hold and upgrades; thread 1 is a concurrent queue-less reader; the
-// optional thread 2 is a queued writer. The upgrade may only succeed as
-// sole holder — the seeded ignores-readers bug admits a reader/writer
-// overlap that RwProbe catches.
-class McsRwUpgradeScenario : public Scenario {
- public:
-  explicit McsRwUpgradeScenario(int threads) : threads_(threads) {}
-  int num_threads() const override { return threads_; }
-
-  void Reset() override {
-    lock_.emplace();
-    rw_.emplace();
-    Runtime::Current()->NameObject(&*lock_, "McsRwLock.word");
-  }
-
-  void Thread(int tid) override {
-    if (tid == 0) {
-      if (!lock_->TryAcquireSh()) return;
-      rw_->ReaderEnter();
-      rw_->ReaderExit();
-      if (lock_->TryUpgradeShNoQueue(Deck(0, 0), 1)) {
-        rw_->WriterEnter();
-        rw_->WriterExit();
-        lock_->ReleaseEx(Deck(0, 0));
-      } else {
-        lock_->ReleaseShNoQueue();
-      }
-      return;
-    }
-    if (tid == 1) {
-      if (!lock_->TryAcquireSh()) return;
-      rw_->ReaderEnter();
-      rw_->ReaderExit();
-      lock_->ReleaseShNoQueue();
-      return;
-    }
-    lock_->AcquireEx(Deck(tid, 0));
-    rw_->WriterEnter();
-    rw_->WriterExit();
-    lock_->ReleaseEx(Deck(tid, 0));
-  }
-
-  void Finale() override {
-    rw_->CheckFinal();
-    OPTIQL_INVARIANT(!lock_->HasQueue() && lock_->ActiveReaders() == 0,
-                     "lock state not drained after upgrade scenario");
-  }
-
- private:
-  const int threads_;
-  std::optional<McsRwLock> lock_;
-  std::optional<RwProbe> rw_;
-};
-
 // ShardedStore's elastic-reshard double-routing window (DESIGN.md §14)
 // distilled to two keys and presence bits. Thread 0 is the migration
 // copier: under the per-chunk gate it copies every key the source holds
@@ -588,16 +533,11 @@ std::vector<ScenarioInfo> BuildRegistry() {
       "OptiQL obsolete marker survives a 2-deep handover chain", 3, false,
       Make<OptiQlHandoverObsoleteScenario>(3));
 
-  // Reader/writer and upgrade protocols.
+  // Reader/writer protocol.
   add("mcsrw_rw_2", "MCS-RW: queued writer vs queued reader", 2, false,
       Make<McsRwScenario>(2));
   add("mcsrw_rw_3", "MCS-RW: queued writer vs 2 queued readers", 3, false,
       Make<McsRwScenario>(3));
-  add("mcsrw_upgrade_2", "MCS-RW: sole-holder upgrade vs racing reader", 2,
-      false, Make<McsRwUpgradeScenario>(2));
-  add("mcsrw_upgrade_3",
-      "MCS-RW: upgrade vs racing reader vs queued writer", 3, false,
-      Make<McsRwUpgradeScenario>(3));
 
   // Elastic-sharding handover window.
   add("reshard_handover_2",
