@@ -49,13 +49,11 @@ int main(int argc, char** argv) {
   RunRow<TtsBackoffLock>(flags, table);
   RunRow<OptLock>(flags, table);
   RunRow<OptBackoffLock>(flags, table);
-  RunRow<TicketLock>(flags, table);
   RunRow<McsLock>(flags, table);
   RunRow<OptiQL>(flags, table);
   table.Print();
   std::printf(
       "\nExpected shape: backoff variants raise throughput but lower "
-      "fairness (higher max/min); queue-based and ticket locks stay near "
-      "Jain=1.\n");
+      "fairness (higher max/min); queue-based locks stay near Jain=1.\n");
   return 0;
 }

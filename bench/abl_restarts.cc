@@ -1,13 +1,9 @@
 // Ablation: wasted work under contention, quantified. The centralized
 // optimistic protocol aborts and re-traverses from the root whenever an
 // upgrade CAS or a validation fails; OptiQL's adapted protocol (Algorithm
-// 4) queues on the leaf instead, and the in-place update variants (ISSUE 6)
-// avoid invalidating readers altogether for point updates of existing
-// keys. This bench reports *restarts per completed operation* for all of
-// them across contention levels — the CAS-retry-storm mechanism behind
-// Figure 1/9, made visible. This is the evaluation harness for the
-// adaptive/in-place work; pair with `ext_adaptive --json` for the
-// machine-readable sweep.
+// 4) queues on the leaf instead. This bench reports *restarts per
+// completed operation* for both across contention levels — the
+// CAS-retry-storm mechanism behind Figure 1/9, made visible.
 #include "index_bench_common.h"
 
 namespace optiql {
@@ -55,13 +51,9 @@ void RunCase(const BenchFlags& flags, const KeyDist& dist, int lookup_pct,
   TablePrinter table(std::move(header));
   RunRow<BTreeOptLock>(flags, "OptLock", dist, lookup_pct, update_pct,
                        table);
-  RunRow<BTreeOptLockIp>(flags, "OptLock-InPlace", dist, lookup_pct,
-                         update_pct, table);
   RunRow<BTreeOptiQlNor>(flags, "OptiQL-NOR", dist, lookup_pct, update_pct,
                          table);
   RunRow<BTreeOptiQl>(flags, "OptiQL", dist, lookup_pct, update_pct, table);
-  RunRow<BTreeOptiQlIp>(flags, "OptiQL-InPlace", dist, lookup_pct,
-                        update_pct, table);
   table.Print();
   std::printf("\n");
 }
@@ -74,7 +66,7 @@ int main(int argc, char** argv) {
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
   PrintBanner("Ablation: protocol restarts per operation",
               "mechanism behind paper Figs. 1/9 — OLC abort-and-retry vs "
-              "OptiQL's queue-on-leaf vs latch-free in-place updates",
+              "OptiQL's queue-on-leaf",
               flags);
   if (flags.dist_given) {
     RunCase(flags, flags.dist, 20, 80, "Write-heavy, --dist");

@@ -10,8 +10,8 @@
 //                       that contrasts several runs each row once, on SPEC.
 //                       Banners and table headers name the distribution a
 //                       run used. The lock-only binaries (fig06-08, tab01,
-//                       abl_fairness, micro_*) and ext_reshard have no key
-//                       distribution to replace.
+//                       abl_fairness, ext_adaptive, micro_*) and
+//                       ext_reshard have no key distribution to replace.
 //   --batch=N           issue point reads as batches of N through the
 //                       batched op surface (default 1 = single ops; read
 //                       by ext_ycsb only, the index sweeps reject N > 1)
@@ -19,10 +19,11 @@
 //   --json[=PATH]       also emit results as a JSON array (benches that
 //                       support it write BENCH_<name>.json by default)
 // Environment fallbacks: OPTIQL_BENCH_THREADS, OPTIQL_BENCH_DURATION_MS,
-// OPTIQL_BENCH_RECORDS. An unknown flag, or a thread count, duration or
-// record count (flag or environment) that is not a positive integer, is a
-// usage error: the binary prints the usage line and exits 2 before any
-// worker starts.
+// OPTIQL_BENCH_RECORDS; OPTIQL_BENCH_REPEATS sets the repeat count of the
+// interleaved sweeps (ext_adaptive, ext_txn; default 3). An unknown flag,
+// or a thread count, duration, record count, batch size or repeat count
+// (flag or environment) that is not a positive integer, is a usage error:
+// the binary prints the usage line and exits 2 before any worker starts.
 #ifndef OPTIQL_BENCH_BENCH_COMMON_H_
 #define OPTIQL_BENCH_BENCH_COMMON_H_
 
@@ -78,6 +79,9 @@ struct BenchFlags {
   KeyDist dist;           // --dist; dist_given says it was set explicitly
   bool dist_given = false;  // (binaries keep their own default otherwise).
   int batch = 1;          // --batch; 1 = single-op mode.
+  // OPTIQL_BENCH_REPEATS: passes of the interleaved sweeps, one median per
+  // cell.
+  int repeats = 3;
 
   // The key distribution of a binary with one built in: --dist replaces
   // it.
@@ -94,17 +98,17 @@ struct BenchFlags {
   static BenchFlags Parse(int argc, char** argv) {
     BenchFlags flags;
     flags.threads = BenchThreadCounts();
-    // The sweep fields: each flag with the environment variable that
-    // stands in for it.
-    static constexpr std::pair<const char*, const char*> kSweepFields[] = {
-        {"--threads=", "OPTIQL_BENCH_THREADS"},
-        {"--duration=", "OPTIQL_BENCH_DURATION_MS"},
-        {"--records=", "OPTIQL_BENCH_RECORDS"},
+    // The numeric fields set from the environment.
+    static constexpr std::pair<const char*, const char*> kEnvFields[] = {
+        {"threads", "OPTIQL_BENCH_THREADS"},
+        {"duration", "OPTIQL_BENCH_DURATION_MS"},
+        {"records", "OPTIQL_BENCH_RECORDS"},
+        {"repeats", "OPTIQL_BENCH_REPEATS"},
     };
-    for (const auto& [flag, env] : kSweepFields) {
+    for (const auto& [field, env] : kEnvFields) {
       const char* value = std::getenv(env);
       if (value != nullptr && *value != '\0' &&
-          !flags.SetSweepField(flag, value)) {
+          !flags.SetNumericField(field, value)) {
         UsageError(argv[0], (std::string(env) + "=" + value).c_str());
       }
     }
@@ -112,9 +116,10 @@ struct BenchFlags {
       const std::string arg = argv[i];
       if (arg.rfind("--threads=", 0) == 0 ||
           arg.rfind("--duration=", 0) == 0 ||
-          arg.rfind("--records=", 0) == 0) {
-        const size_t value = arg.find('=') + 1;
-        if (!flags.SetSweepField(arg.substr(0, value), arg.substr(value))) {
+          arg.rfind("--records=", 0) == 0 || arg.rfind("--batch=", 0) == 0) {
+        const size_t eq = arg.find('=');
+        if (!flags.SetNumericField(arg.substr(2, eq - 2),
+                                   arg.substr(eq + 1))) {
           UsageError(argv[0], arg.c_str());
         }
       } else if (arg.rfind("--dist=", 0) == 0) {
@@ -126,12 +131,6 @@ struct BenchFlags {
           std::exit(2);
         }
         flags.dist_given = true;
-      } else if (arg.rfind("--batch=", 0) == 0) {
-        flags.batch = std::atoi(arg.c_str() + 8);
-        if (flags.batch < 1) {
-          std::fprintf(stderr, "bad --batch (want >= 1): %s\n", arg.c_str());
-          std::exit(2);
-        }
       } else if (arg == "--full") {
         flags.full = true;
         flags.duration_ms = 1000;
@@ -186,11 +185,12 @@ struct BenchFlags {
     return true;
   }
 
-  // Sets the sweep field named by `flag` ("--threads=", "--duration=" or
-  // "--records=") from `text`; false = malformed or non-positive.
-  bool SetSweepField(const std::string& flag, const std::string& text) {
+  // Sets the numeric field named `field` ("threads", "duration",
+  // "records", "batch" or "repeats") from `text`; false = malformed or
+  // non-positive.
+  bool SetNumericField(const std::string& field, const std::string& text) {
     uint64_t value = 0;
-    if (flag == "--threads=") {
+    if (field == "threads") {
       std::vector<int> counts;
       size_t pos = 0;
       while (true) {
@@ -205,13 +205,16 @@ struct BenchFlags {
       threads = std::move(counts);
       return true;
     }
-    if (flag == "--duration=") {
-      if (!ParsePositive(text, INT_MAX, value)) return false;
-      duration_ms = static_cast<int>(value);
+    if (field == "records") {
+      if (!ParsePositive(text, UINT64_MAX, value)) return false;
+      records = value;
       return true;
     }
-    if (!ParsePositive(text, UINT64_MAX, value)) return false;
-    records = value;
+    if (!ParsePositive(text, INT_MAX, value)) return false;
+    int& target = field == "duration" ? duration_ms
+                  : field == "batch"  ? batch
+                                      : repeats;
+    target = static_cast<int>(value);
     return true;
   }
 };
@@ -284,12 +287,6 @@ class JsonBenchWriter {
 
   std::vector<std::string> rows_;
 };
-
-// Repeat-and-median methodology of the interleaved sweeps (ext_adaptive,
-// ext_txn): OPTIQL_BENCH_REPEATS passes (default 3), one median per cell.
-inline int BenchRepeats() {
-  return std::max(1, static_cast<int>(EnvInt("OPTIQL_BENCH_REPEATS", 3)));
-}
 
 inline double Median(std::vector<double> v) {
   if (v.empty()) return 0.0;

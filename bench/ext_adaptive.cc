@@ -1,18 +1,13 @@
-// Extension: lock contention telemetry + latch-free leaf updates.
+// Extension: lock contention telemetry.
 //
-// Section 1 (fig06-style lock sweep): centralized CAS locks (TTS,
-// OptLock) and queue-based locks (MCS, OptiQL) side by side, with the
-// restart / wait counters that explain each row. Centralized locks win when
-// collisions are rare, queue-based locks when they are not.
-//
-// Section 2 (index sweep): B+-trees with latch-free in-place leaf updates
-// (BTree*InPlacePolicy) vs. their locked-update baselines on read-mostly
-// skewed mixes, where every locked point update invalidates the hot leaf's
-// optimistic readers and the in-place path does not.
+// A fig06-style lock sweep: centralized CAS locks (TTS, OptLock) and
+// queue-based locks (MCS, OptiQL) side by side, with the restart / wait
+// counters that explain each row. Centralized locks win when collisions
+// are rare, queue-based locks when they are not.
 //
 // Methodology: every data point is the MEDIAN of OPTIQL_BENCH_REPEATS
-// (default 3) runs, and the repeats are INTERLEAVED across the protocols
-// in a row — pass 1 runs every lock, then pass 2, ... — so minute-scale
+// (default 3) runs, and the repeats are INTERLEAVED across the locks in a
+// row — pass 1 runs every lock, then pass 2, ... — so minute-scale
 // machine drift (CPU steal on shared boxes) lands on all protocols alike
 // instead of biasing whichever row happened to run in a slow window.
 //
@@ -27,7 +22,6 @@
 #include "bench_common.h"
 #include "harness/micro_bench.h"
 #include "harness/table_printer.h"
-#include "index_bench_common.h"
 #include "sync/lock_telemetry.h"
 
 namespace optiql {
@@ -36,14 +30,10 @@ namespace {
 struct TelemetryDelta {
   uint64_t restarts = 0;
   uint64_t waits = 0;
-  uint64_t inplace_updates = 0;
-  uint64_t inplace_fallbacks = 0;
 
   TelemetryDelta& operator+=(const TelemetryDelta& o) {
     restarts += o.restarts;
     waits += o.waits;
-    inplace_updates += o.inplace_updates;
-    inplace_fallbacks += o.inplace_fallbacks;
     return *this;
   }
 };
@@ -53,22 +43,17 @@ TelemetryDelta TakeDelta() {
   TelemetryDelta d;
   d.restarts = s[LockTelemetry::kOptimisticRestart];
   d.waits = s[LockTelemetry::kExclusiveWait];
-  d.inplace_updates = s[LockTelemetry::kInPlaceUpdate];
-  d.inplace_fallbacks = s[LockTelemetry::kInPlaceFallback];
   return d;
 }
 
 // One (row, thread-count) cell accumulated across the interleaved passes.
 struct PointStat {
-  std::vector<double> mops;             // One entry per pass.
-  std::vector<double> restarts_per_kop;  // Index section only.
-  TelemetryDelta telemetry;             // Summed over passes.
+  std::vector<double> mops;   // One entry per pass.
+  TelemetryDelta telemetry;  // Summed over passes.
 };
 
 // Keyed by (row name, threads); rows print in first-seen order.
 using PointMap = std::map<std::pair<std::string, int>, PointStat>;
-
-// --- Section 1: lock sweep ------------------------------------------------
 
 template <class Lock>
 void LockPass(const BenchFlags& flags, const ContentionLevel& level,
@@ -90,7 +75,7 @@ void LockPass(const BenchFlags& flags, const ContentionLevel& level,
 
 void LockLevel(const BenchFlags& flags, const ContentionLevel& level,
                int read_pct, JsonBenchWriter& json) {
-  const int repeats = BenchRepeats();
+  const int repeats = flags.repeats;
   std::printf(
       "-- Locks, contention: %s (%zu lock(s)%s), %d%% reads, "
       "median of %d --\n",
@@ -134,111 +119,14 @@ void LockLevel(const BenchFlags& flags, const ContentionLevel& level,
   std::printf("\n");
 }
 
-// --- Section 2: index sweep -----------------------------------------------
-
-template <class Tree>
-void IndexPass(Tree& tree, const char* name, const BenchFlags& flags,
-               IndexWorkload workload, PointMap& points) {
-  for (int threads : flags.threads) {
-    workload.threads = threads;
-    tree.ResetStats();
-    LockTelemetry::Reset();
-    const RunResult result = RunIndexBench(tree, workload);
-    const TelemetryDelta t = TakeDelta();
-    const auto stats = tree.GetStats();
-    const double restarts_per_kop =
-        result.TotalOps() == 0
-            ? 0.0
-            : 1000.0 *
-                  static_cast<double>(stats.read_restarts +
-                                      stats.write_restarts) /
-                  static_cast<double>(result.TotalOps());
-    PointStat& p = points[{name, threads}];
-    p.mops.push_back(result.MopsPerSec());
-    p.restarts_per_kop.push_back(restarts_per_kop);
-    p.telemetry += t;
-  }
-}
-
-void IndexMix(const BenchFlags& flags, int lookup_pct, int update_pct,
-              JsonBenchWriter& json) {
-  const int repeats = BenchRepeats();
-  const KeyDist dist = flags.DistOr(KeyDist::SelfSimilar(0.2));
-  std::printf(
-      "-- B+-tree, %d%% lookup / %d%% update, %s keys, median of %d --\n",
-      lookup_pct, update_pct, dist.Name().c_str(), repeats);
-
-  IndexWorkload workload;
-  workload.records = flags.records;
-  workload.lookup_pct = lookup_pct;
-  workload.update_pct = update_pct;
-  workload.dist = dist;
-  workload.duration_ms = flags.duration_ms;
-
-  // Preload every tree up front; the mixes are lookup/update-only, so the
-  // trees stay structurally identical across the interleaved passes.
-  auto optlock = std::make_unique<BTreeOptLock>();
-  auto optlock_ip = std::make_unique<BTreeOptLockIp>();
-  auto optiql = std::make_unique<BTreeOptiQl>();
-  auto optiql_ip = std::make_unique<BTreeOptiQlIp>();
-  PreloadIndex(*optlock, workload);
-  PreloadIndex(*optlock_ip, workload);
-  PreloadIndex(*optiql, workload);
-  PreloadIndex(*optiql_ip, workload);
-
-  PointMap points;
-  const std::vector<std::string> order = {"OptLock", "OptLock-InPlace",
-                                          "OptiQL", "OptiQL-InPlace"};
-  for (int rep = 0; rep < repeats; ++rep) {
-    IndexPass(*optlock, "OptLock", flags, workload, points);
-    IndexPass(*optlock_ip, "OptLock-InPlace", flags, workload, points);
-    IndexPass(*optiql, "OptiQL", flags, workload, points);
-    IndexPass(*optiql_ip, "OptiQL-InPlace", flags, workload, points);
-  }
-
-  std::vector<std::string> header = {
-      "tree \\ threads (Mops/s / restarts-per-1k-ops)"};
-  for (int t : flags.threads) header.push_back(std::to_string(t));
-  TablePrinter table(std::move(header));
-  for (const std::string& name : order) {
-    std::vector<std::string> row = {name};
-    for (int threads : flags.threads) {
-      const PointStat& p = points.at({name, threads});
-      row.push_back(TablePrinter::Fmt(Median(p.mops)) + " / " +
-                    TablePrinter::Fmt(Median(p.restarts_per_kop), 2));
-      json.AddRecord({
-          {"bench", "ext_adaptive"},
-          {"section", "index_inplace"},
-          {"tree", name},
-          {"lookup_pct", std::to_string(lookup_pct)},
-          {"update_pct", std::to_string(update_pct)},
-          {"distribution", dist.Name()},
-          {"threads", std::to_string(threads)},
-          {"repeats", std::to_string(repeats)},
-          {"mops", JsonBenchWriter::Num(Median(p.mops))},
-          {"tree_restarts_per_kop",
-           JsonBenchWriter::Num(Median(p.restarts_per_kop))},
-          {"telemetry_restarts", std::to_string(p.telemetry.restarts)},
-          {"telemetry_inplace_updates",
-           std::to_string(p.telemetry.inplace_updates)},
-          {"telemetry_inplace_fallbacks",
-           std::to_string(p.telemetry.inplace_fallbacks)},
-      });
-    }
-    table.AddRow(std::move(row));
-  }
-  table.Print();
-  std::printf("\n");
-}
-
 }  // namespace
 }  // namespace optiql
 
 int main(int argc, char** argv) {
   using namespace optiql;
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
-  PrintBanner("Extension: lock telemetry + latch-free leaf updates",
-              "extends paper Fig. 6 / Fig. 9 with restart/wait counters "
+  PrintBanner("Extension: lock telemetry",
+              "extends paper Fig. 6 with restart/wait counters "
               "(telemetry columns need -DOPTIQL_LOCK_TELEMETRY=ON)",
               flags);
   if constexpr (!LockTelemetry::kEnabled) {
@@ -258,9 +146,6 @@ int main(int argc, char** argv) {
   }
   // Read-mixed pass: optimistic readers vs readers that take the lock.
   LockLevel(flags, kContentionLevels[1], /*read_pct=*/80, json);
-  // Read-mostly skewed mixes: the latch-free in-place update target.
-  IndexMix(flags, /*lookup_pct=*/95, /*update_pct=*/5, json);
-  IndexMix(flags, /*lookup_pct=*/90, /*update_pct=*/10, json);
   if (flags.json) {
     json.WriteFile(flags.json_path.empty() ? "BENCH_adaptive.json"
                                            : flags.json_path);

@@ -109,7 +109,7 @@ void Preload(Index& index, uint64_t records) {
 // One table: every protocol x leaf lock row at a fixed (skew, txn_size).
 void TxnSection(const BenchFlags& flags, const KeyDist& dist, int txn_size,
                 JsonBenchWriter& json) {
-  const int repeats = BenchRepeats();
+  const int repeats = flags.repeats;
   std::printf("-- txns of %d keys (read all, bump half), %s keys, "
               "median of %d --\n",
               txn_size, dist.Name().c_str(), repeats);

@@ -30,13 +30,6 @@ using BTreePthread =
     BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<SharedMutexLock>>;
 using BTreeMcsRw = BTree<uint64_t, uint64_t, BTreeRwLeafPolicy<McsRwLock>>;
 
-// Latch-free in-place leaf update variants (ISSUE 6 extension): same
-// protocols, but Update/Upsert of an existing key publishes the value with
-// one atomic store under a version-preserving micro-window.
-using BTreeOptLockIp = BTree<uint64_t, uint64_t, BTreeOlcInPlacePolicy>;
-using BTreeOptiQlIp =
-    BTree<uint64_t, uint64_t, BTreeOptiQlInPlacePolicy<OptiQL>>;
-
 // ART variants (§6.2).
 using ArtOptLock = ArtTree<ArtOlcPolicy>;
 using ArtOptiQl = ArtTree<ArtOptiQlPolicy<OptiQL>>;

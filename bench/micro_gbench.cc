@@ -22,7 +22,6 @@ void BM_UncontendedAcquireRelease(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, TtsLock);
-BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, TicketLock);
 BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, OptLock);
 BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, McsLock);
 BENCHMARK_TEMPLATE(BM_UncontendedAcquireRelease, McsRwLock);

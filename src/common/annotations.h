@@ -8,7 +8,7 @@
 //
 // What is annotated and what deliberately is NOT:
 //
-//   * The pessimistic locks (MCS, MCS-RW, TTS, ticket, shared_mutex,
+//   * The pessimistic locks (MCS, MCS-RW, TTS, shared_mutex,
 //     and OptLock's exclusive side) are CAPABILITYs with ACQUIRE/RELEASE
 //     annotated entry points. Their bodies are implementation detail — TSA
 //     treats an annotated primitive's body as trusted and checks *callers*

@@ -3,10 +3,9 @@
 #include <pthread.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <thread>
 
 #include "sync/thread_registry.h"
@@ -113,29 +112,7 @@ RunResult RunFixedDuration(const RunOptions& options, const WorkerFn& worker) {
   return result;
 }
 
-int64_t EnvInt(const char* name, int64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (end == value) return fallback;
-  return parsed;
-}
-
 std::vector<int> BenchThreadCounts() {
-  if (const char* env = std::getenv("OPTIQL_BENCH_THREADS")) {
-    std::vector<int> counts;
-    std::string spec(env);
-    size_t pos = 0;
-    while (pos < spec.size()) {
-      size_t comma = spec.find(',', pos);
-      if (comma == std::string::npos) comma = spec.size();
-      const int n = std::atoi(spec.substr(pos, comma - pos).c_str());
-      if (n > 0) counts.push_back(n);
-      pos = comma + 1;
-    }
-    if (!counts.empty()) return counts;
-  }
   // Sweep to 2x the hardware threads (the paper's x-axis spans both
   // sockets plus hyperthreads), but at least to 8 so queueing behaviour is
   // visible even on very small machines.

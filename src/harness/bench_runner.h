@@ -61,11 +61,9 @@ using WorkerFn =
 
 RunResult RunFixedDuration(const RunOptions& options, const WorkerFn& worker);
 
-// Reads an environment-variable integer, or `fallback` if unset/invalid.
-int64_t EnvInt(const char* name, int64_t fallback);
-
-// Default thread sweep for benchmarks: {1, 2, 4, ...} capped at
-// 2*hardware_concurrency, overridable with OPTIQL_BENCH_THREADS=a,b,c.
+// Default thread sweep for benchmarks: {1, 2, 4, ...} up to
+// 2*hardware_concurrency (at least 8). The bench binaries' --threads and
+// OPTIQL_BENCH_THREADS (BenchFlags::Parse) replace it.
 std::vector<int> BenchThreadCounts();
 
 }  // namespace optiql

@@ -26,7 +26,9 @@
 //
 // The leaf read discipline follows the leaf lock's TxnOps contract:
 // versioned leaves are read optimistically (snapshot, copy, validate),
-// the others under their shared mode.
+// the others under their shared mode. Every policy writes a leaf only
+// under its exclusive lock: no store to a node field happens outside a
+// critical section.
 //
 // Structural decisions (all standard for memory-optimized B+-trees):
 //   * Small nodes (default 256 bytes, Figure 11 sweeps 256B..16KB).
@@ -82,7 +84,6 @@ enum class BTreeProtocol { kOlc, kOptiQl };
 struct BTreeOlcPolicy {
   static constexpr BTreeProtocol kProtocol = BTreeProtocol::kOlc;
   static constexpr bool kAdjustableOpRead = false;
-  static constexpr bool kInPlaceUpdates = false;
   using InnerLock = OptLock;
   using LeafLock = OptLock;
 };
@@ -91,7 +92,6 @@ template <class QlLock, bool kAor = false>
 struct BTreeOptiQlPolicy {
   static constexpr BTreeProtocol kProtocol = BTreeProtocol::kOptiQl;
   static constexpr bool kAdjustableOpRead = kAor;
-  static constexpr bool kInPlaceUpdates = false;
   using InnerLock = OptLock;
   using LeafLock = QlLock;
 };
@@ -102,29 +102,12 @@ struct BTreeOptiQlPolicy {
 template <class RwLock>
 using BTreeRwLeafPolicy = BTreeOptiQlPolicy<RwLock>;
 
-// FB+-tree-style latch-free leaf value updates (see PAPERS.md): an Update/
-// Upsert of an *existing* key publishes the new value with one atomic store
-// instead of an exclusive leaf critical section, so concurrent optimistic
-// readers of the leaf never restart. Structural needs (insert, remove,
-// split) and validation failures fall back to the locked path unchanged.
-// Opt-in per policy: range scans over an in-place tree get per-slot instead
-// of per-range atomicity for racing value overwrites (DESIGN.md §10).
-struct BTreeOlcInPlacePolicy : BTreeOlcPolicy {
-  static constexpr bool kInPlaceUpdates = true;
-};
-
-template <class QlLock, bool kAor = false>
-struct BTreeOptiQlInPlacePolicy : BTreeOptiQlPolicy<QlLock, kAor> {
-  static constexpr bool kInPlaceUpdates = true;
-};
-
 template <class Key, class Value, class SyncPolicy = BTreeOlcPolicy,
           size_t kNodeBytes = 256>
 class BTree {
  public:
   static constexpr BTreeProtocol kProtocol = SyncPolicy::kProtocol;
   static constexpr bool kAor = SyncPolicy::kAdjustableOpRead;
-  static constexpr bool kInPlaceUpdates = SyncPolicy::kInPlaceUpdates;
   using InnerLock = typename SyncPolicy::InnerLock;
   using LeafLock = typename SyncPolicy::LeafLock;
   using InnerOps = TxnOps<InnerLock>;
@@ -138,18 +121,6 @@ class BTree {
                                       kProtocol == BTreeProtocol::kOptiQl),
                 "an unversioned leaf lock needs a shared mode and the "
                 "direct-leaf write step");
-
-  // In-place publication stores the value through std::atomic_ref while
-  // readers copy it unsynchronized-then-validate, so the value must be a
-  // single machine word, and the leaf lock must carry a version to
-  // validate against.
-  static_assert(!kInPlaceUpdates || LeafOps::kVersioned,
-                "in-place updates require a versioned (optimistic) leaf lock");
-  static_assert(!kInPlaceUpdates ||
-                    (std::is_trivially_copyable_v<Value> &&
-                     sizeof(Value) <= 8 && alignof(Value) >= sizeof(Value)),
-                "in-place updates publish the value with one atomic store; "
-                "the value type must be one aligned machine word");
 
   BTree() { root_.store(new Leaf(), std::memory_order_release); }
 
@@ -1066,19 +1037,6 @@ class BTree {
       }
 
       bool result = false;
-      if constexpr (kInPlaceUpdates) {
-        // Latch-free point update: for an existing key, publish the value
-        // with one atomic store under a version-preserving micro-window, so
-        // overlapping optimistic readers never restart. Falls back to the
-        // locked path for misses needing insertion and lost races.
-        if (kind == WriteKind::kUpdate || kind == WriteKind::kUpsert) {
-          const InPlaceStatus ip =
-              LeafUpdateInPlace(leaf, v, key, value, kind, &result);
-          if (ip == InPlaceStatus::kDone) return result;
-          if (ip == InPlaceStatus::kRestart) continue;
-          // kFallback: take the locked leaf path below.
-        }
-      }
       LeafWriteStatus status;
       if constexpr (kProtocol == BTreeProtocol::kOptiQl) {
         status = LeafWriteOptiQl(leaf, parent, pv, parent_is_root, key,
@@ -1093,59 +1051,6 @@ class BTree {
   }
 
   enum class LeafWriteStatus { kDone, kRestart };
-
-  enum class InPlaceStatus { kDone, kRestart, kFallback };
-
-  // Latch-free leaf value overwrite (FB+-tree style, ISSUE 6 tentpole (b)).
-  //
-  // Soundness: a pure store-then-validate scheme is unsound here, because a
-  // concurrent locked writer can shift slots between our validated search
-  // and our store, landing the store in a *different* key's slot (validation
-  // would detect but not undo the corruption). Instead the store is
-  // published under a version-preserving micro-window:
-  //
-  //   1. search the leaf optimistically, then Validate(v) — pos is the
-  //      key's slot as of version v;
-  //   2. TryUpgrade(v): success proves the word never changed since the
-  //      snapshot, so no writer intervened and pos is still the slot;
-  //   3. one atomic release-store of the 8-byte value;
-  //   4. ReleaseExNoBump: the word returns to exactly v.
-  //
-  // Because the version is preserved, optimistic readers overlapping the
-  // update never restart — from the reader side the update is latch-free;
-  // they observe either the old or the new value atomically. No key,
-  // count, or structure changes, so concurrent writers' validated searches
-  // stay correct, and any structural writer bumps the version, which makes
-  // our TryUpgrade fail and routes us to the locked path.
-  InPlaceStatus LeafUpdateInPlace(Leaf* leaf, uint64_t v, const Key& key,
-                                  const Value* value, WriteKind kind,
-                                  bool* result) {
-    uint16_t pos = 0;
-    const bool exists = leaf->Find(key, LoadCount(leaf, kLeafMax), pos);
-    if (!Validate(leaf->lock, v)) return InPlaceStatus::kRestart;
-    if (!exists) {
-      if (kind == WriteKind::kUpdate) {
-        // Validated miss: the key is genuinely absent at version v.
-        *result = false;
-        return InPlaceStatus::kDone;
-      }
-      // Upsert of a missing key needs an insertion: structural, locked path.
-      return InPlaceStatus::kFallback;
-    }
-    typename LeafOps::ExHandle handle{};
-    if (!LeafOps::TryUpgrade(leaf->lock, v, /*slot=*/0, handle)) {
-      // Lost the race (writer queued, or an OPREAD window is open): the
-      // locked path will line up in the queue instead of spinning here.
-      LockTelemetry::Count(LockTelemetry::kInPlaceFallback);
-      return InPlaceStatus::kFallback;
-    }
-    std::atomic_ref<Value>(leaf->values[pos])
-        .store(*value, std::memory_order_release);
-    LeafOps::UnlockExNoBump(leaf->lock, handle);
-    LockTelemetry::Count(LockTelemetry::kInPlaceUpdate);
-    *result = true;
-    return InPlaceStatus::kDone;
-  }
 
   static constexpr bool NeedsSplitForWrite(WriteKind kind) {
     return kind == WriteKind::kInsert || kind == WriteKind::kUpsert;

@@ -1,6 +1,5 @@
 // Lock telemetry: process-wide counters for the lock contention events —
-// optimistic restarts, exclusive-acquire waits, and the latch-free leaf
-// update paths.
+// optimistic restarts and exclusive-acquire waits.
 //
 // Design constraints:
 //  * Compiled out by default. Counting sites call LockTelemetry::Count(...)
@@ -43,10 +42,6 @@ class LockTelemetry {
     // An exclusive acquisition found the lock held and had to wait (counted
     // once per contended acquisition, not per spin iteration).
     kExclusiveWait,
-    // B+-tree latch-free leaf value updates: published in place, and
-    // attempts that bounced to the locked path.
-    kInPlaceUpdate,
-    kInPlaceFallback,
     kNumCounters,
   };
 
@@ -115,8 +110,6 @@ class LockTelemetry {
     switch (c) {
       case kOptimisticRestart: return "optimistic_restarts";
       case kExclusiveWait: return "exclusive_waits";
-      case kInPlaceUpdate: return "inplace_updates";
-      case kInPlaceFallback: return "inplace_fallbacks";
       default: return "unknown";
     }
   }

@@ -1,8 +1,8 @@
 // TxnOps<Lock> — the one uniform version/lock contract over every lock
-// family in the repository. The indexes, the transaction layer, Guarded<>,
-// the lock microbenchmarks and the typed lock suites all reach a lock
-// through it, so each family's capabilities are stated in exactly one
-// place. Every family has the same spellings:
+// family in the repository. The indexes, the transaction layer, the lock
+// microbenchmarks and the typed lock suites all reach a lock through it,
+// so each family's capabilities are stated in exactly one place. Every
+// family has the same spellings:
 //
 //   kName                        display name (the paper's legend)
 //
@@ -15,7 +15,9 @@
 //   Exclusive mode (LockEx/UnlockEx: every family; the rest where the
 //   family supports it)
 //     LockEx(lock, slot) -> ExHandle      blocking acquire
-//     TryLockEx(lock, slot, h) -> bool    no-wait acquire (versioned families)
+//     TryLockEx(lock, slot, h) -> bool    no-wait acquire (OptLock family
+//                                         only; the test-only MapIndex's
+//                                         2PL record lock uses it)
 //     TryUpgrade(lock, v, slot, h)        snapshot -> exclusive promotion
 //     UnlockEx(lock, h)                   release, bump version
 //     UnlockExNoBump(lock, h)             release, no bump (no-op sections)
@@ -44,14 +46,14 @@
 //                  unlinked node cannot tell; the B+-tree's RW leaves
 //                  re-validate the parent instead.
 //   kSharedMode    pessimistic shared mode exists
-// A family with neither read surface (TTS, Ticket, MCS) serves reads by
-// taking the exclusive lock.
+// A family with neither read surface (TTS, MCS) serves reads by taking
+// the exclusive lock.
 //
 // TSA annotations appear on the specializations of annotated capability
-// types (TTS, Ticket, MCS, MCS-RW, shared_mutex) and forward the
-// capability through the facade: TSA sees `TxnOps<L>::LockEx(lock, slot)`
-// acquire `lock` itself, so callers are checked as if they had called the
-// lock. The optimistic families' read side is not expressible in TSA and
+// types (TTS, MCS, MCS-RW, shared_mutex) and forward the capability
+// through the facade: TSA sees `TxnOps<L>::LockEx(lock, slot)` acquire
+// `lock` itself, so callers are checked as if they had called the lock.
+// The optimistic families' read side is not expressible in TSA and
 // is covered by scripts/lint_optimistic.py and the checked-invariant build
 // instead (see common/annotations.h).
 #ifndef OPTIQL_SYNC_TXN_OPS_H_
@@ -67,7 +69,6 @@
 #include "locks/mcs_rw_lock.h"
 #include "locks/optlock.h"
 #include "locks/shared_mutex_lock.h"
-#include "locks/ticket_lock.h"
 #include "locks/tts_lock.h"
 #include "qnode/qnode_pool.h"
 
@@ -172,12 +173,6 @@ struct TxnOps<BasicOptiQL<kEnableOpRead>> {
     lock.AcquireEx(node);
     return {node};
   }
-  static bool TryLockEx(Lock& lock, int slot, ExHandle& handle) {
-    QNode* node = ThreadQNodes::Get(slot);
-    if (!lock.TryAcquireEx(node)) return false;
-    handle = {node};
-    return true;
-  }
   static bool TryUpgrade(Lock& lock, uint64_t v, int slot, ExHandle& handle) {
     QNode* node = ThreadQNodes::Get(slot);
     if (!lock.TryUpgrade(v, node)) return false;
@@ -203,7 +198,7 @@ struct TxnOps<BasicOptiQL<kEnableOpRead>> {
   }
 };
 
-// --- Exclusive-only centralized locks: TTS, TTS-backoff, Ticket ------------
+// --- Exclusive-only centralized locks: TTS, TTS-backoff --------------------
 
 template <class L>
 struct CentralizedExclusiveTxnOps {
@@ -226,11 +221,6 @@ struct TxnOps<BasicTtsLock<BackoffPolicy>>
     : CentralizedExclusiveTxnOps<BasicTtsLock<BackoffPolicy>> {
   static constexpr const char* kName =
       std::is_same_v<BackoffPolicy, NoBackoff> ? "TTS" : "TTS-Backoff";
-};
-
-template <>
-struct TxnOps<TicketLock> : CentralizedExclusiveTxnOps<TicketLock> {
-  static constexpr const char* kName = "Ticket";
 };
 
 // --- Exclusive-only queue lock: MCS (thread-owned node) -------------------

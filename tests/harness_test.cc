@@ -1,10 +1,13 @@
 // Benchmark-harness tests: histogram quantile accuracy, merge semantics,
-// the fixed-duration runner, fairness metric, environment parsing, and a
-// smoke run of the micro/index bench frameworks.
+// the fixed-duration runner, fairness metric, the bench binaries' flag and
+// environment parsing, and a smoke run of the micro/index bench frameworks.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
+#include "bench_common.h"
 #include "harness/bench_runner.h"
 #include "harness/histogram.h"
 #include "harness/index_bench.h"
@@ -114,26 +117,44 @@ TEST(BenchRunnerTest, JainFairnessIndex) {
   EXPECT_DOUBLE_EQ(result.JainFairness(), 0.25);
 }
 
-TEST(BenchRunnerTest, EnvIntParsing) {
-  unsetenv("OPTIQL_TEST_ENVINT");
-  EXPECT_EQ(EnvInt("OPTIQL_TEST_ENVINT", 7), 7);
-  setenv("OPTIQL_TEST_ENVINT", "123", 1);
-  EXPECT_EQ(EnvInt("OPTIQL_TEST_ENVINT", 7), 123);
-  setenv("OPTIQL_TEST_ENVINT", "junk", 1);
-  EXPECT_EQ(EnvInt("OPTIQL_TEST_ENVINT", 7), 7);
-  unsetenv("OPTIQL_TEST_ENVINT");
+BenchFlags ParseFlags(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return BenchFlags::Parse(static_cast<int>(argv.size()), argv.data());
 }
 
 TEST(BenchRunnerTest, ThreadCountsFromEnvironment) {
   setenv("OPTIQL_BENCH_THREADS", "1,3,9", 1);
-  EXPECT_EQ(BenchThreadCounts(), (std::vector<int>{1, 3, 9}));
+  setenv("OPTIQL_BENCH_REPEATS", "5", 1);
+  const BenchFlags flags = ParseFlags({});
+  EXPECT_EQ(flags.threads, (std::vector<int>{1, 3, 9}));
+  EXPECT_EQ(flags.repeats, 5);
+  EXPECT_EQ(ParseFlags({"--threads=2"}).threads, std::vector<int>{2});
   unsetenv("OPTIQL_BENCH_THREADS");
-  const auto counts = BenchThreadCounts();
+  unsetenv("OPTIQL_BENCH_REPEATS");
+  EXPECT_EQ(ParseFlags({}).repeats, 3);
+  const auto counts = ParseFlags({}).threads;
+  EXPECT_EQ(counts, BenchThreadCounts());
   ASSERT_FALSE(counts.empty());
   EXPECT_EQ(counts.front(), 1);
   for (size_t i = 1; i < counts.size(); ++i) {
     EXPECT_EQ(counts[i], counts[i - 1] * 2);
   }
+}
+
+// A malformed number, from a flag or the environment, is a usage error:
+// exit 2 with the usage line, never a silent default.
+TEST(BenchFlagsDeathTest, MalformedNumbersExitWithUsage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(ParseFlags({"--batch=2x"}), ::testing::ExitedWithCode(2),
+              "usage:");
+  EXPECT_EXIT(ParseFlags({"--batch=0"}), ::testing::ExitedWithCode(2),
+              "usage:");
+  EXPECT_EQ(ParseFlags({"--batch=4"}).batch, 4);
+  setenv("OPTIQL_BENCH_REPEATS", "abc", 1);
+  EXPECT_EXIT(ParseFlags({}), ::testing::ExitedWithCode(2), "usage:");
+  unsetenv("OPTIQL_BENCH_REPEATS");
 }
 
 TEST(MicroBenchTest, ExclusiveOnlySmoke) {

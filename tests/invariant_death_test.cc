@@ -18,7 +18,6 @@
 #include "locks/mcs_lock.h"
 #include "locks/mcs_rw_lock.h"
 #include "locks/optlock.h"
-#include "locks/ticket_lock.h"
 #include "locks/tts_lock.h"
 #include "qnode/qnode_pool.h"
 #include "sync/txn_ops.h"
@@ -70,13 +69,6 @@ TEST_F(InvariantDeathTest, OptLockUpgradeFromLockedSnapshot) {
 
 TEST_F(InvariantDeathTest, TtsDoubleRelease) {
   TtsLock lock;
-  lock.AcquireEx();
-  lock.ReleaseEx();
-  EXPECT_DEATH(lock.ReleaseEx(), kDeathMessage);
-}
-
-TEST_F(InvariantDeathTest, TicketDoubleRelease) {
-  TicketLock lock;
   lock.AcquireEx();
   lock.ReleaseEx();
   EXPECT_DEATH(lock.ReleaseEx(), kDeathMessage);

@@ -29,8 +29,8 @@ struct LockList {
 };
 
 using AllLocks =
-    LockList<TtsLock, TtsBackoffLock, TicketLock, OptLock, OptBackoffLock,
-             McsLock, McsRwLock, SharedMutexLock, OptiQL, OptiQLNor>;
+    LockList<TtsLock, TtsBackoffLock, OptLock, OptBackoffLock, McsLock,
+             McsRwLock, SharedMutexLock, OptiQL, OptiQLNor>;
 static_assert(AllLocks::kAllInContract,
               "every lock family needs a TxnOps specialization with kName");
 using AllLockTypes = AllLocks::Types;
@@ -135,49 +135,6 @@ TEST(TtsLockTest, TryAcquireSemantics) {
   EXPECT_FALSE(lock.IsLockedEx());
   EXPECT_TRUE(lock.TryAcquireEx());
   lock.ReleaseEx();
-}
-
-TEST(TicketLockTest, TryAcquireFailsWhenHeld) {
-  TicketLock lock;
-  EXPECT_TRUE(lock.TryAcquireEx());
-  EXPECT_TRUE(lock.IsLockedEx());
-  EXPECT_FALSE(lock.TryAcquireEx());
-  lock.ReleaseEx();
-  EXPECT_FALSE(lock.IsLockedEx());
-}
-
-TEST(TicketLockTest, FifoOrderAmongWaiters) {
-  // A held ticket lock grants strictly in ticket order. Start the holder,
-  // queue N waiters with known ticket order, and record the grant order.
-  TicketLock lock;
-  lock.AcquireEx();
-  std::vector<int> grant_order;
-  std::atomic<int> queued{0};
-  std::vector<std::thread> waiters;
-  for (int i = 0; i < 4; ++i) {
-    waiters.emplace_back([&, i] {
-      // Serialize ticket acquisition: thread i draws ticket i+1.
-      while (queued.load(std::memory_order_acquire) != i) {
-        std::this_thread::yield();
-      }
-      // AcquireEx draws the ticket immediately then spins.
-      // There is no way to split it, so signal *before* the call and rely
-      // on the holder still owning the lock.
-      queued.fetch_add(1, std::memory_order_acq_rel);
-      lock.AcquireEx();
-      grant_order.push_back(i);
-      lock.ReleaseEx();
-    });
-  }
-  while (queued.load(std::memory_order_acquire) != 4) {
-    std::this_thread::yield();
-  }
-  // Give every waiter a moment to actually draw its ticket after signaling.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  lock.ReleaseEx();
-  for (auto& t : waiters) t.join();
-  ASSERT_EQ(grant_order.size(), 4u);
-  EXPECT_EQ(grant_order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(McsLockTest, TryAcquireOnlySucceedsOnEmptyQueue) {

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <thread>
 
-#include "index/btree.h"
 #include "locks/optlock.h"
 #include "sync/lock_telemetry.h"
 #include "sync/txn_ops.h"
@@ -47,8 +46,6 @@ TEST(LockTelemetryTest, NamesAreStable) {
                "optimistic_restarts");
   EXPECT_STREQ(LockTelemetry::Name(LockTelemetry::kExclusiveWait),
                "exclusive_waits");
-  EXPECT_STREQ(LockTelemetry::Name(LockTelemetry::kInPlaceUpdate),
-               "inplace_updates");
 }
 
 TEST(LockTelemetryTest, OptLockRestartExactness) {
@@ -100,51 +97,6 @@ TEST(LockTelemetryTest, ExclusiveWaitCountedOncePerContendedAcquire) {
   SKIP_UNLESS_TELEMETRY();
   ExclusiveWaitCountedOnce<OptLock>();
   ExclusiveWaitCountedOnce<OptiQL>();
-}
-
-// Single-threaded replay: every Update of an existing key must take the
-// in-place path exactly once — no fallbacks, no restarts.
-template <class Tree>
-void InPlaceReplayExactness() {
-  LockTelemetry::Reset();
-  Tree tree;
-  constexpr uint64_t kKeys = 512;
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    ASSERT_TRUE(tree.Insert(k, k));
-  }
-  LockTelemetry::Reset();  // Preload splits are not part of the replay.
-
-  for (int round = 1; round <= 2; ++round) {
-    for (uint64_t k = 0; k < kKeys; ++k) {
-      ASSERT_TRUE(tree.Update(k, k + static_cast<uint64_t>(round)));
-    }
-  }
-  // A miss and an upsert-of-a-missing-key must NOT count as in-place
-  // events (the miss is a validated no-op; the upsert takes the locked
-  // insert path before any upgrade is attempted).
-  EXPECT_FALSE(tree.Update(kKeys + 7, 0));
-  tree.Upsert(kKeys + 7, 7);
-
-  const LockTelemetry::Snapshot s = LockTelemetry::Take();
-  EXPECT_EQ(s[LockTelemetry::kInPlaceUpdate], 2 * kKeys);
-  EXPECT_EQ(s[LockTelemetry::kInPlaceFallback], 0u);
-  EXPECT_EQ(s.restarts(), 0u);
-
-  uint64_t out = 0;
-  ASSERT_TRUE(tree.Lookup(3, out));
-  EXPECT_EQ(out, 5u);  // 3 + round 2.
-  tree.CheckInvariants();
-}
-
-TEST(LockTelemetryTest, InPlaceReplayExactnessOlc) {
-  SKIP_UNLESS_TELEMETRY();
-  InPlaceReplayExactness<BTree<uint64_t, uint64_t, BTreeOlcInPlacePolicy>>();
-}
-
-TEST(LockTelemetryTest, InPlaceReplayExactnessOptiQl) {
-  SKIP_UNLESS_TELEMETRY();
-  InPlaceReplayExactness<
-      BTree<uint64_t, uint64_t, BTreeOptiQlInPlacePolicy<OptiQL>>>();
 }
 
 TEST(LockTelemetryTest, ResetZeroesEverything) {

@@ -66,7 +66,6 @@ void RunConservationSweep(const GridParam& param) {
 TEST_P(LockGridTest, ConservationAcrossLockTypes) {
   const GridParam param = GetParam();
   RunConservationSweep<TtsLock>(param);
-  RunConservationSweep<TicketLock>(param);
   RunConservationSweep<OptLock>(param);
   RunConservationSweep<McsLock>(param);
   RunConservationSweep<McsRwLock>(param);

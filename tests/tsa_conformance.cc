@@ -27,7 +27,6 @@
 #include "locks/mcs_rw_lock.h"
 #include "locks/optlock.h"
 #include "locks/shared_mutex_lock.h"
-#include "locks/ticket_lock.h"
 #include "locks/tts_lock.h"
 #include "qnode/qnode_pool.h"
 #include "sync/txn_ops.h"
@@ -69,13 +68,6 @@ void UseGuardedCounter() {
 
 void TtsCorrect() {
   TtsLock lock;
-  lock.AcquireEx();
-  lock.ReleaseEx();
-  if (lock.TryAcquireEx()) lock.ReleaseEx();
-}
-
-void TicketCorrect() {
-  TicketLock lock;
   lock.AcquireEx();
   lock.ReleaseEx();
   if (lock.TryAcquireEx()) lock.ReleaseEx();
@@ -135,7 +127,6 @@ void TxnOpsExclusiveCorrect() {
 void TxnOpsExclusiveFamiliesCorrect() {
   TxnOpsExclusiveCorrect<TtsLock>();
   TxnOpsExclusiveCorrect<TtsBackoffLock>();
-  TxnOpsExclusiveCorrect<TicketLock>();
   TxnOpsExclusiveCorrect<McsLock>();
 }
 

@@ -8,7 +8,6 @@
 #include "locks/mcs_lock.h"
 #include "locks/mcs_rw_lock.h"
 #include "locks/optlock.h"
-#include "locks/ticket_lock.h"
 #include "locks/tts_lock.h"
 
 namespace optiql::model {
@@ -28,16 +27,6 @@ QNode* Deck(int tid, int i) { return Runtime::Current()->DeckNode(tid, i); }
 struct TtsOps {
   static constexpr const char* kLabel = "TtsLock.word";
   TtsLock lock;
-  void Lock(int) { lock.AcquireEx(); }
-  void Unlock(int) { lock.ReleaseEx(); }
-  void CheckFinal(uint64_t) {
-    OPTIQL_INVARIANT(!lock.IsLockedEx(), "lock still held at end");
-  }
-};
-
-struct TicketOps {
-  static constexpr const char* kLabel = "TicketLock";
-  TicketLock lock;
   void Lock(int) { lock.AcquireEx(); }
   void Unlock(int) { lock.ReleaseEx(); }
   void CheckFinal(uint64_t) {
@@ -491,8 +480,6 @@ std::vector<ScenarioInfo> BuildRegistry() {
   // Mutual exclusion, one entry per lock family at 2 threads...
   add("tts_mutex_2", "TTS lock: 2 writers, 1 section each", 2, false,
       Make<MutexScenario<TtsOps>>(2, 1));
-  add("ticket_mutex_2", "ticket lock: 2 writers, 1 section each", 2, false,
-      Make<MutexScenario<TicketOps>>(2, 1));
   add("mcs_mutex_2", "MCS lock: 2 writers, 1 section each", 2, false,
       Make<MutexScenario<McsOps>>(2, 1));
   add("optlock_mutex_2", "OptLock: 2 writers, 1 section each + version count",
