@@ -9,8 +9,9 @@
 //      self-similar skew, single thread. The acceptance bar lives here:
 //      batch >= 32 must beat singles by >= 1.5x on the B+-tree and ART.
 //   C. Sharded dispatch — ShardedStore at 16 shards: per-op routing
-//      (guard + route per key) vs LookupBatch (partition once, one
-//      amortized guard + one interleaved group per shard).
+//      (guard + route per key) vs LookupBatch (one amortized guard and
+//      one interleaved descent across shards: each key is routed once as
+//      a lane picks it up, and one lane ring spans every shard's root).
 //
 // --dist replaces every phase's distribution (phase B runs it alone).
 // Emits BENCH_batch.json with --json.
@@ -35,8 +36,8 @@ constexpr size_t kShards = 16;       // Phase-C shard count.
 
 // Dispatches a batched lookup with an explicit interleave factor where the
 // index exposes one (the native B+-tree/ART lane paths); everything else —
-// including ShardedStore, whose per-shard groups pick their own factor —
-// goes through the uniform IndexLookupBatch surface.
+// including ShardedStore, whose routed lane ring runs at the tree's default
+// factor — goes through the uniform IndexLookupBatch surface.
 template <class Tree>
 size_t BatchLookupWithLanes(const Tree& tree, const uint64_t* keys, size_t n,
                             uint64_t* values, bool* found, size_t lanes) {
@@ -227,7 +228,7 @@ int main(int argc, char** argv) {
   using namespace optiql;
   const BenchFlags flags = BenchFlags::Parse(argc, argv);
   PrintBanner("Extension: batched execution (interleaved descents)",
-              "AMAC-style multi-descent batches + per-shard dispatch",
+              "AMAC-style multi-descent batches, one ring across shards",
               flags);
   JsonBenchWriter json;
   SweepTree<BTreeOptLock>("btree/OptLock", flags, json);

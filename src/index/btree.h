@@ -185,22 +185,39 @@ class BTree {
                      size_t interleave = kDefaultBatchLanes) const
     requires(LeafOps::kVersioned)
   {
-    if (n == 0) return 0;
     EpochGuard guard;
+    return LookupBatchRouted(
+        keys, n, values, found, [this](const Key&) { return this; },
+        interleave);
+  }
+
+  // LookupBatch over many trees of this type: key i is looked up in the
+  // tree `tree_of(keys[i])` returns, evaluated once, when a lane takes the
+  // key. One lane ring spans every tree's root (a ShardedStore batch keeps
+  // `interleave` descents in flight however its keys spread), and a lane
+  // restart counts against its own tree. The caller holds an EpochGuard
+  // that keeps every tree `tree_of` can return alive.
+  template <class TreeOf>
+  static size_t LookupBatchRouted(const Key* keys, size_t n, Value* values,
+                                  bool* found, TreeOf&& tree_of,
+                                  size_t interleave = kDefaultBatchLanes)
+    requires(LeafOps::kVersioned)
+  {
+    if (n == 0) return 0;
     size_t lane_count = interleave < n ? interleave : n;
     if (lane_count > kMaxBatchLanes) lane_count = kMaxBatchLanes;
     if (lane_count <= 1) {
-      // Amortized-guard loop of singles — the baseline the interleaved
-      // path is benchmarked against, and the right choice for tiny
-      // batches where lane bookkeeping costs more than it hides.
+      // Loop of singles — the baseline the interleaved path is
+      // benchmarked against, and the right choice for tiny batches where
+      // lane bookkeeping costs more than it hides.
       size_t hits = 0;
       for (size_t i = 0; i < n; ++i) {
-        found[i] = LookupOptimistic(keys[i], values[i]);
+        found[i] = tree_of(keys[i])->LookupOptimistic(keys[i], values[i]);
         if (found[i]) ++hits;
       }
       return hits;
     }
-    return LookupInterleaved(keys, n, values, found, lane_count);
+    return LookupInterleaved(keys, n, values, found, tree_of, lane_count);
   }
 
   // Ascending range scan starting at `start` (inclusive); copies up to
@@ -617,8 +634,8 @@ class BTree {
   // The serial descents (DescendToLeaf, and Write, which adds eager inner
   // splits and merges) run the two halves back to back as ReadLockChild.
   // The batch lanes run them on separate turns, so the prefetch has every
-  // other lane's turn to land. Every restart from the root ticks the
-  // caller's RestartCounter once.
+  // other lane's turn to land. Every restart from the root counts once
+  // against the tree it restarts in.
 
   // A leaf reached by a descent, not yet read. The edge is parent-
   // validated: the last inner's separators were read under a validated
@@ -726,36 +743,39 @@ class BTree {
 
   // --- Interleaved (AMAC-style) batched descent ---
   //
-  // Each in-flight lookup is a small state machine (a "lane"). A lane is
-  // always in one of two states: it either runs the first half of the
-  // inner step (pick, PREFETCH, validate the parent snapshot), or it
+  // Each in-flight lookup is a small state machine (a "lane") that
+  // carries the tree its key routes to, so one ring spans many trees. A
+  // lane is always in one of two states: it either runs the first half of
+  // the inner step (pick, PREFETCH, validate the parent snapshot), or it
   // ENTERS the child it prefetched on its previous turn (the second half:
   // ReadLockInner, or ReadLockLeaf for a leaf child). The scheduler visits
   // the lanes round-robin, so between issuing a lane's prefetch and
   // touching that memory it advances every other lane; that turns one
   // serial cache-miss chain per descent into `lane_count` overlapping
-  // ones. A validation failure restarts only the failing lane from the
-  // root — the rest of the group never stalls.
+  // ones. A validation failure restarts only the failing lane from its
+  // tree's root — the rest of the group never stalls.
 
   struct BatchLane {
-    NodeBase* node = nullptr;   // Position (validated snapshot).
-    NodeBase* child = nullptr;  // Prefetched, not yet entered.
-    uint64_t v = 0;             // Version snapshot of `node`.
-    size_t op = 0;              // Index into the caller's batch.
-    bool entering = false;      // Next step: enter `child`.
+    const BTree* tree = nullptr;  // The tree the lane's key routes to.
+    NodeBase* node = nullptr;     // Position (validated snapshot).
+    NodeBase* child = nullptr;    // Prefetched, not yet entered.
+    uint64_t v = 0;               // Version snapshot of `node`.
+    size_t op = 0;                // Index into the caller's batch.
+    bool entering = false;        // Next step: enter `child`.
     bool active = false;
   };
 
-  // (Re)points a lane at the root with a fresh snapshot, taking a root
-  // leaf's through its edge. Named into the read-lock helper family on
-  // purpose: the open snapshot it returns with is validated by the lane's
-  // next scheduler step.
-  void ReadLockRootLane(BatchLane& lane) const {
+  // (Re)points a lane at its tree's root with a fresh snapshot, taking a
+  // root leaf's through its edge. Named into the read-lock helper family
+  // on purpose: the open snapshot it returns with is validated by the
+  // lane's next scheduler step.
+  static void ReadLockRootLane(BatchLane& lane) {
+    const BTree& tree = *lane.tree;
     while (true) {
       uint64_t v = 0;
-      NodeBase* node = ReadLockRoot(v);
+      NodeBase* node = tree.ReadLockRoot(v);
       if (node == nullptr) continue;
-      if (IsLeaf(node) && !ReadLockLeaf({AsLeaf(node), nullptr, 0}, v)) {
+      if (IsLeaf(node) && !tree.ReadLockLeaf({AsLeaf(node), nullptr, 0}, v)) {
         continue;
       }
       lane.node = node;
@@ -765,20 +785,30 @@ class BTree {
     }
   }
 
-  size_t LookupInterleaved(const Key* keys, size_t n, Value* values,
-                           bool* found, size_t lane_count) const {
-    RestartCounter restarts(read_restarts_);
-    restarts.Tick();  // The whole batch is one attempt...
+  // A failed validation: the lane restarts at its tree's root, counted
+  // against that tree.
+  static void RestartLane(BatchLane& lane) {
+    lane.tree->read_restarts_.fetch_add(1, std::memory_order_relaxed);
+    ReadLockRootLane(lane);
+  }
+
+  template <class TreeOf>
+  static size_t LookupInterleaved(const Key* keys, size_t n, Value* values,
+                                  bool* found, TreeOf& tree_of,
+                                  size_t lane_count) {
     BatchLane lanes[kMaxBatchLanes];
     size_t next_op = 0;
-    size_t active = 0;
+    const auto take_next = [&](BatchLane& lane) {
+      lane.op = next_op++;
+      lane.tree = tree_of(keys[lane.op]);
+      ReadLockRootLane(lane);
+    };
     for (size_t i = 0; i < lane_count; ++i) {
-      lanes[i].op = next_op++;
       lanes[i].active = true;
-      ReadLockRootLane(lanes[i]);
-      ++active;
+      take_next(lanes[i]);
     }
 
+    size_t active = lane_count;
     size_t hits = 0;
     size_t l = 0;
     while (active > 0) {
@@ -792,11 +822,11 @@ class BTree {
         uint64_t cv = 0;
         const bool entered =
             IsLeaf(lane.child)
-                ? ReadLockLeaf({AsLeaf(lane.child), parent, lane.v}, cv)
+                ? lane.tree->ReadLockLeaf({AsLeaf(lane.child), parent, lane.v},
+                                          cv)
                 : ReadLockInner(parent, lane.v, lane.child, cv);
         if (!entered) {
-          restarts.Tick();  // ...and each lane restart adds one.
-          ReadLockRootLane(lane);
+          RestartLane(lane);
           continue;
         }
         lane.node = lane.child;
@@ -810,8 +840,7 @@ class BTree {
         lane.child = ValidateChild</*kWarmLeaf=*/true>(
             AsInner(lane.node), lane.v, keys[lane.op]);
         if (lane.child == nullptr) {
-          restarts.Tick();
-          ReadLockRootLane(lane);
+          RestartLane(lane);
           continue;
         }
         lane.entering = true;
@@ -824,8 +853,7 @@ class BTree {
           leaf->Find(keys[lane.op], LoadCount(leaf, kLeafMax), pos);
       const Value value = hit ? leaf->values[pos] : Value{};
       if (!Validate(leaf->lock, lane.v)) {
-        restarts.Tick();
-        ReadLockRootLane(lane);
+        RestartLane(lane);
         continue;
       }
       found[lane.op] = hit;
@@ -834,8 +862,7 @@ class BTree {
         ++hits;
       }
       if (next_op < n) {
-        lane.op = next_op++;
-        ReadLockRootLane(lane);
+        take_next(lane);
       } else {
         lane.active = false;
         --active;

@@ -214,7 +214,7 @@ void IndexCheckInvariants(const Index& index) {
 //     re-entrant, so indexes that open their own per-op guard nest freely).
 //
 // Indexes with a native batch entry point (interleaved multi-descent in the
-// B+-tree and ART, per-shard dispatch in ShardedStore) are detected below;
+// B+-tree and ART, one routed lane ring in ShardedStore) are detected below;
 // everything else — including the reader-writer-locked variants — gets the
 // guard + loop fallback, so all index types keep working.
 
@@ -232,6 +232,18 @@ concept HasLookupBatchIntOp =
     requires(const Index c, const uint64_t* k, size_t n, uint64_t* v,
              bool* f) {
       { c.LookupBatchInt(k, n, v, f) } -> std::same_as<size_t>;
+    };
+
+// Routed batched point lookup: one static lane ring over many trees of one
+// type, each key looked up in the tree `tree_of` returns for it (the
+// versioned B+-trees; ShardedStore's LookupBatch runs on it).
+template <class Index>
+concept HasRoutedLookupBatchOp =
+    requires(const uint64_t* k, size_t n, uint64_t* v, bool* f,
+             const Index* (*tree_of)(uint64_t)) {
+      {
+        Index::LookupBatchRouted(k, n, v, f, tree_of)
+      } -> std::same_as<size_t>;
     };
 
 // Native batched insert: ok[i] = "key i was absent and is now present".

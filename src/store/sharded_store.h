@@ -205,134 +205,57 @@ class ShardedStore : public internal::ShardTxnTypes<Index>,
     });
   }
 
-  // --- Batched ops: partition against the pinned table, dispatch per
-  // shard, reassemble ---
+  // --- Batched ops ---
   //
-  // Each batch is partitioned by the pinned table (caller-order-stable, so
-  // duplicate keys resolve exactly as sequential execution would — they
-  // always land in the same bucket, in program order), then each shard gets
-  // ONE dispatch: a single amortized EpochGuard for the whole batch plus
-  // the shard's own interleaved group (IndexLookupBatch falls back to a
-  // guarded loop for shards without a native batch path). Keys inside a
-  // migration window are carved into an overflow bucket and replayed
-  // through the double-applying point path, so batches stay correct across
-  // a live split/merge. Results are scattered back to caller positions.
+  // Each batch pins the table once under one amortized EpochGuard.
+  // Lookups are one interleaved descent across shards: the shard type's
+  // routed lane ring (HasRoutedLookupBatchOp) routes each key once, by its
+  // read route, as a lane takes it, and writes results straight to caller
+  // positions; other shard types loop over routed point lookups. Writes
+  // are partitioned per shard by WriteBatch.
 
   size_t LookupBatch(const uint64_t* keys, size_t n, uint64_t* values,
                      bool* found) const {
-    if (n == 0) return 0;
     EpochGuard guard;
     const Table* t = table();
-    if (const Index* solo = SoloShard(t)) {
-      return IndexLookupBatch(*solo, keys, n, values, found);
-    }
-    // Reads never double-apply: partition by the read route (inside a
-    // window that already prefers the target below the watermark).
-    const size_t buckets = SlotLimit();
-    const BatchPlan plan(buckets, keys, n,
-                         [&](uint64_t key) { return t->Route(key).read; });
-    std::vector<uint64_t> shard_keys(n);
-    std::vector<uint64_t> shard_values(n);
-    const std::unique_ptr<bool[]> shard_found(new bool[n]);
-    size_t hits = 0;
-    for (size_t s = 0; s < buckets; ++s) {
-      const uint32_t begin = plan.offsets[s];
-      const size_t m = plan.offsets[s + 1] - begin;
-      if (m == 0) continue;
-      for (size_t i = 0; i < m; ++i) {
-        shard_keys[i] = keys[plan.order[begin + i]];
+    const auto shard_of = [&](uint64_t key) -> const Index* {
+      return &SlotAt(t->Route(key).read);
+    };
+    if constexpr (HasRoutedLookupBatchOp<Index>) {
+      return Index::LookupBatchRouted(keys, n, values, found, shard_of);
+    } else {
+      size_t hits = 0;
+      for (size_t i = 0; i < n; ++i) {
+        found[i] = IndexLookup(*shard_of(keys[i]), keys[i], values[i]);
+        if (found[i]) ++hits;
       }
-      RetireBucketScope tag(RetireTag(static_cast<uint32_t>(s)));
-      hits += IndexLookupBatch(SlotAt(static_cast<uint32_t>(s)),
-                               shard_keys.data(), m, shard_values.data(),
-                               shard_found.get());
-      for (size_t i = 0; i < m; ++i) {
-        const uint32_t at = plan.order[begin + i];
-        found[at] = shard_found[i];
-        if (shard_found[i]) values[at] = shard_values[i];
-      }
+      return hits;
     }
-    return hits;
   }
 
   size_t InsertBatch(const uint64_t* keys, const uint64_t* values, size_t n,
                      bool* ok) {
-    if (n == 0) return 0;
-    EpochGuard guard;
-    const Table* t = table();
-    if (Index* solo = SoloShard(t)) {
-      return IndexInsertBatch(*solo, keys, values, n, ok);
-    }
-    const size_t buckets = SlotLimit();
-    const BatchPlan plan(buckets + 1, keys, n, [&](uint64_t key) {
-      const KeyRoute r = t->Route(key);
-      return r.DoubleApply() ? buckets : static_cast<size_t>(r.write);
-    });
-    std::vector<uint64_t> shard_keys(n);
-    std::vector<uint64_t> shard_values(n);
-    const std::unique_ptr<bool[]> shard_ok(new bool[n]);
-    size_t applied = 0;
-    for (size_t s = 0; s < buckets; ++s) {
-      const uint32_t begin = plan.offsets[s];
-      const size_t m = plan.offsets[s + 1] - begin;
-      if (m == 0) continue;
-      for (size_t i = 0; i < m; ++i) {
-        const uint32_t at = plan.order[begin + i];
-        shard_keys[i] = keys[at];
-        shard_values[i] = values[at];
-      }
-      RetireBucketScope tag(RetireTag(static_cast<uint32_t>(s)));
-      applied += IndexInsertBatch(SlotAt(static_cast<uint32_t>(s)),
-                                  shard_keys.data(), shard_values.data(), m,
-                                  shard_ok.get());
-      for (size_t i = 0; i < m; ++i) {
-        ok[plan.order[begin + i]] = shard_ok[i];
-      }
-    }
-    // Migrating-span keys go through the gated double-apply path one by
-    // one (program order preserved within the bucket).
-    for (uint32_t i = plan.offsets[buckets]; i < plan.offsets[buckets + 1];
-         ++i) {
-      const uint32_t at = plan.order[i];
-      ok[at] = Insert(keys[at], values[at]);
-      if (ok[at]) ++applied;
-    }
-    return applied;
+    return WriteBatch(
+        keys, values, n, ok,
+        [](Index& shard, const uint64_t* k, const uint64_t* v, size_t m,
+           bool* shard_ok) {
+          return IndexInsertBatch(shard, k, v, m, shard_ok);
+        },
+        [this](uint64_t k, uint64_t v) { return Insert(k, v); });
   }
 
   void UpsertBatch(const uint64_t* keys, const uint64_t* values, size_t n) {
-    if (n == 0) return;
-    EpochGuard guard;
-    const Table* t = table();
-    if (Index* solo = SoloShard(t)) {
-      IndexUpsertBatch(*solo, keys, values, n);
-      return;
-    }
-    const size_t buckets = SlotLimit();
-    const BatchPlan plan(buckets + 1, keys, n, [&](uint64_t key) {
-      const KeyRoute r = t->Route(key);
-      return r.DoubleApply() ? buckets : static_cast<size_t>(r.write);
-    });
-    std::vector<uint64_t> shard_keys(n);
-    std::vector<uint64_t> shard_values(n);
-    for (size_t s = 0; s < buckets; ++s) {
-      const uint32_t begin = plan.offsets[s];
-      const size_t m = plan.offsets[s + 1] - begin;
-      if (m == 0) continue;
-      for (size_t i = 0; i < m; ++i) {
-        const uint32_t at = plan.order[begin + i];
-        shard_keys[i] = keys[at];
-        shard_values[i] = values[at];
-      }
-      RetireBucketScope tag(RetireTag(static_cast<uint32_t>(s)));
-      IndexUpsertBatch(SlotAt(static_cast<uint32_t>(s)), shard_keys.data(),
-                       shard_values.data(), m);
-    }
-    for (uint32_t i = plan.offsets[buckets]; i < plan.offsets[buckets + 1];
-         ++i) {
-      const uint32_t at = plan.order[i];
-      Upsert(keys[at], values[at]);
-    }
+    WriteBatch(
+        keys, values, n, /*ok=*/nullptr,
+        [](Index& shard, const uint64_t* k, const uint64_t* v, size_t m,
+           bool*) {
+          IndexUpsertBatch(shard, k, v, m);
+          return m;
+        },
+        [this](uint64_t k, uint64_t v) {
+          Upsert(k, v);
+          return true;
+        });
   }
 
   // --- Range scan ---
@@ -659,18 +582,6 @@ class ShardedStore : public internal::ShardTxnTypes<Index>,
     return *shard;
   }
 
-  // Single-shard fast path: avoids the partition pass entirely. nullptr
-  // when more than one shard is active or a migration window is open.
-  Index* SoloShard(const Table* t) const {
-    if constexpr (Table::kOrderedSpans) {
-      if (t->shard_count() != 1 || t->migration() != nullptr) return nullptr;
-      return &SlotAt(t->spans()[0].shard);
-    } else {
-      if (t->shard_count() != 1) return nullptr;
-      return &SlotAt(0);
-    }
-  }
-
   // Applies one write inside a migration window: authoritative op on the
   // source first (its return value is the op's result), mirror on the
   // target only when the source accepted it — all under the shared gate,
@@ -883,6 +794,55 @@ class ShardedStore : public internal::ShardTxnTypes<Index>,
       }
       if (removed < buf.size() || buf.size() < kMigrateChunk) return;
     }
+  }
+
+  // A write batch, partitioned by write route through a BatchPlan (stable,
+  // so duplicate keys resolve as sequential execution would; keys in a
+  // migration window go to an overflow bucket). `shard_batch(shard, keys,
+  // values, m, ok)` runs once per shard over its gathered keys, and
+  // `point`, the double-applying point op, runs per overflow key in
+  // program order. Fills ok[] when given; returns the number applied.
+  template <class ShardBatch, class Point>
+  size_t WriteBatch(const uint64_t* keys, const uint64_t* values, size_t n,
+                    bool* ok, ShardBatch&& shard_batch, Point&& point) {
+    if (n == 0) return 0;
+    EpochGuard guard;
+    const Table* t = table();
+    const size_t buckets = SlotLimit();
+    const BatchPlan plan(buckets + 1, keys, n, [&](uint64_t key) {
+      const KeyRoute r = t->Route(key);
+      return r.DoubleApply() ? buckets : static_cast<size_t>(r.write);
+    });
+    std::vector<uint64_t> shard_keys(n);
+    std::vector<uint64_t> shard_values(n);
+    const std::unique_ptr<bool[]> shard_ok(ok != nullptr ? new bool[n]
+                                                         : nullptr);
+    size_t applied = 0;
+    for (size_t s = 0; s < buckets; ++s) {
+      const uint32_t begin = plan.offsets[s];
+      const size_t m = plan.offsets[s + 1] - begin;
+      if (m == 0) continue;
+      for (size_t i = 0; i < m; ++i) {
+        const uint32_t at = plan.order[begin + i];
+        shard_keys[i] = keys[at];
+        shard_values[i] = values[at];
+      }
+      RetireBucketScope tag(RetireTag(static_cast<uint32_t>(s)));
+      applied += shard_batch(SlotAt(static_cast<uint32_t>(s)),
+                             shard_keys.data(), shard_values.data(), m,
+                             shard_ok.get());
+      for (size_t i = 0; ok != nullptr && i < m; ++i) {
+        ok[plan.order[begin + i]] = shard_ok[i];
+      }
+    }
+    for (uint32_t i = plan.offsets[buckets]; i < plan.offsets[buckets + 1];
+         ++i) {
+      const uint32_t at = plan.order[i];
+      const bool done = point(keys[at], values[at]);
+      if (ok != nullptr) ok[at] = done;
+      if (done) ++applied;
+    }
+    return applied;
   }
 
   // Caller-order-stable partition of a batch into `buckets` groups (bucket

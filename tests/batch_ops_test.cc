@@ -2,8 +2,8 @@
 // paths): batched results must be indistinguishable from executing the
 // same ops one at a time, in batch order — including misses, duplicate
 // keys inside one batch, and every dispatch arm (B+-tree/ART lane
-// machines, ShardedStore partition + scatter, and the generic fallback
-// used by the reader-writer leaf tree and the test-only MapIndex).
+// machines, ShardedStore's routed lane ring across shards, and the generic
+// fallback used by the reader-writer leaf tree and the test-only MapIndex).
 //
 // Instantiations exercising optimistic reads are named to match the TSan
 // exclusion globs (Olc / OptiQl / BTree) in tests/CMakeLists.txt; the
@@ -73,6 +73,12 @@ TYPED_TEST(BatchOpsTest, BatchCapabilityProfile) {
   } else {
     static_assert(HasLookupBatchOp<Index>);
   }
+  // The routed lane ring a ShardedStore's LookupBatch runs on: only the
+  // versioned B+-trees provide it; every other shard type takes the store's
+  // per-key loop.
+  static_assert(HasRoutedLookupBatchOp<Index> ==
+                (std::is_same_v<Index, BTreeOlcT> ||
+                 std::is_same_v<Index, BTreeOptiQlT>));
   static_assert(HasInsertBatchOp<Index> == std::is_same_v<Index, ShardedOlcT>);
   static_assert(HasUpsertBatchOp<Index> == std::is_same_v<Index, ShardedOlcT>);
 }
@@ -312,6 +318,57 @@ TYPED_TEST(BatchOpsTest, ConcurrentBatchedReadersVsChurn) {
 
   for (auto& t : threads) t.join();
   EXPECT_EQ(violations.load(), 0u);
+}
+
+// A store batch runs one lane ring over every shard's root; a lane that
+// restarts is charged to its own shard's read_restarts, never to another
+// shard's. Writers churn shard 2 alone, so every other shard's versions
+// never move and its restart count must stay 0 however the batches race.
+TEST(RoutedBatchOlcTest, LaneRestartsChargeTheirOwnShard) {
+  ShardedStore<BTreeOlcT, RangeShardRouter> store(
+      4, RangeShardRouter::EvenOver(40000, 4));
+  for (uint64_t k = 0; k < 40000; k += 2) ASSERT_TRUE(store.Insert(k, k + 1));
+  constexpr uint32_t kHot = 2;  // Span [20000, 30000).
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    Xoshiro256 rng(0x4E57A87ULL);
+    while (!stop.load(std::memory_order_acquire)) {
+      const uint64_t key = 20001 + 2 * rng.NextBounded(5000);  // Odd keys.
+      if (!store.Insert(key, key + 1)) store.Remove(key);
+    }
+  });
+  Xoshiro256 rng(0x4EADE4ULL);
+  uint64_t keys[16];
+  uint64_t values[16];
+  bool found[16];
+  uint64_t violations = 0;
+  // Until a few restarts are in (or a bounded number of batches): each is
+  // one chance for a misattributed restart to show on an idle shard.
+  const auto total_restarts = [&] {
+    uint64_t sum = 0;
+    for (uint32_t s = 0; s < 4; ++s) {
+      sum += store.ShardAt(s).GetStats().read_restarts;
+    }
+    return sum;
+  };
+  for (int iter = 0; iter < 200000 && total_restarts() < 8; ++iter) {
+    for (auto& key : keys) key = rng.NextBounded(40000);
+    store.LookupBatch(keys, 16, values, found);
+    for (size_t i = 0; i < 16; ++i) {
+      const bool even = keys[i] % 2 == 0;
+      if ((even && !found[i]) || (found[i] && values[i] != keys[i] + 1)) {
+        ++violations;
+      }
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  EXPECT_EQ(violations, 0u);
+  for (uint32_t s = 0; s < 4; ++s) {
+    if (s == kHot) continue;
+    EXPECT_EQ(store.ShardAt(s).GetStats().read_restarts, 0u) << "shard " << s;
+  }
 }
 
 }  // namespace

@@ -239,6 +239,65 @@ TEST(RangeReshardTest, SplitOfSparseAndEmptySpansWorks) {
   EXPECT_EQ(store.Scan(0, 16, scanned), 3u);
 }
 
+// Store batches run one lane ring across every shard's root, routing each
+// key once as a lane picks it up. After a Split (fresh slot 4) and a Merge
+// (slot 3 retired) the live slot ids are non-contiguous, so a lane that
+// assumed dense slots, or a ring bound to one shard object, would read the
+// wrong tree or a retired one. Every batch shape must match per-key Lookup.
+TEST(RangeReshardOptiQlBatchTest, RoutedLookupBatchMatchesPointLookups) {
+  ShardedStore<OptiQlTree, RangeShardRouter> store(
+      4, RangeShardRouter::EvenOver(4000, 4));
+  for (uint64_t k = 0; k < 4400; k += 3) {
+    ASSERT_TRUE(store.Insert(k, k * 7 + 1));
+  }
+  ASSERT_TRUE(store.Split(1500));  // [1500,2000) moves to slot 4.
+  ASSERT_TRUE(store.Merge(3000));  // [3000,~] dissolves; slot 3 retired.
+  std::vector<uint32_t> slots;
+  for (const auto& span : store.SpanSnapshot()) slots.push_back(span.shard);
+  ASSERT_EQ(slots, (std::vector<uint32_t>{0, 1, 4, 2}));
+
+  constexpr size_t kLanesPlus5 = OptiQlTree::kMaxBatchLanes + 5;
+  Xoshiro256 rng(0xB47C4ULL);
+  const auto random_keys = [&](size_t n, uint64_t lo, uint64_t hi) {
+    std::vector<uint64_t> keys(n);
+    for (auto& key : keys) key = lo + rng.NextBounded(hi - lo);
+    return keys;
+  };
+  std::vector<std::vector<uint64_t>> batches;
+  // Keys in every shard, hits and misses; each span appears at least once.
+  batches.push_back({10, 1100, 1600, 2100, 3500, 4399, 4400, 1501});
+  batches.push_back(random_keys(64, 0, 4500));
+  // Duplicate keys, adjacent and spread across shards.
+  batches.push_back({1500, 1500, 3, 4200, 3, 1500, 2999, 4200, 2999});
+  batches.push_back({1602});  // n = 1, a hit.
+  batches.push_back({1601});  // n = 1, a miss.
+  batches.push_back(random_keys(kLanesPlus5, 0, 4500));
+  batches.push_back(random_keys(kLanesPlus5, 1500, 2000));  // One shard.
+  batches.push_back(random_keys(40, 2000, 4500));  // Only the merged span.
+
+  for (const auto& keys : batches) {
+    const size_t n = keys.size();
+    std::vector<uint64_t> values(n, ~uint64_t{0});
+    std::vector<uint8_t> found(n, 2);
+    const size_t hits =
+        store.LookupBatch(keys.data(), n, values.data(),
+                          reinterpret_cast<bool*>(found.data()));
+    size_t expected_hits = 0;
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t out = 0;
+      const bool hit = store.Lookup(keys[i], out);
+      ASSERT_EQ(found[i], hit ? 1 : 0) << "n " << n << " key " << keys[i];
+      if (hit) {
+        ASSERT_EQ(values[i], out) << "key " << keys[i];
+        ++expected_hits;
+      } else {
+        ASSERT_EQ(values[i], ~uint64_t{0}) << "miss wrote key " << keys[i];
+      }
+    }
+    ASSERT_EQ(hits, expected_hits) << "n " << n;
+  }
+}
+
 // --- Reshard storms ---------------------------------------------------------
 
 // Full op mix over disjoint per-thread key stripes while a dedicated
@@ -289,11 +348,12 @@ void ReshardStorm(int workers, int ops_per_worker, int reshard_attempts) {
             break;
           }
           case 5: {
-            // Batched lookups: the batch is partitioned against a pinned
-            // table while the copier advances the watermark underneath —
-            // the regression surface for BatchPlan's one-evaluation-per-key
-            // contract. Stripes are disjoint, so own-stripe results are
-            // exact against the per-thread oracle.
+            // Batched lookups: each key is routed once against a pinned
+            // table, as a lane picks it up, while the copier advances the
+            // watermark underneath. A lane keeps the tree its key was
+            // routed to across restarts (one route per key taken by a
+            // lane). Stripes are disjoint, so own-stripe results are exact
+            // against the per-thread oracle.
             uint64_t batch_keys[16];
             uint64_t batch_values[16];
             bool batch_found[16];
